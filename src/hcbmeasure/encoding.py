@@ -19,6 +19,9 @@ ORDERINGS = ("interleaved", "reordered")
 
 LadderOps = tuple[tuple[int, bool], ...]  # ((spin_orbital, is_creation), ...)
 
+IMAG_TOL = 1e-10  # largest imaginary residue an encoded Hermitian term may carry
+ZERO_TOL = 1e-14  # integrals at or below this magnitude contribute no terms
+
 
 def check_ordering(ordering: str) -> str:
     if ordering not in ORDERINGS:
@@ -73,13 +76,12 @@ def _product_terms(
 def jw_encode(
     n_qubits: int,
     terms: Iterable[tuple[float | complex, LadderOps]],
-    imag_tol: float = 1e-10,
 ) -> PauliSum:
     """Encode a Hermitian combination of ladder-operator products.
 
     Each entry is (coefficient, ((spin_orbital, is_creation), ...)); an empty
     operator tuple contributes a multiple of the identity.  The total must be
-    Hermitian: any imaginary residue above imag_tol raises ValueError.
+    Hermitian: any imaginary residue above IMAG_TOL raises ValueError.
     """
     acc: dict[PauliString, complex] = {}
     for coeff, ops in terms:
@@ -87,7 +89,7 @@ def jw_encode(
             acc[string] = acc.get(string, 0.0) + coeff * val
     out = PauliSum(n_qubits)
     for string, val in acc.items():
-        if abs(val.imag) > imag_tol:
+        if abs(val.imag) > IMAG_TOL:
             raise ValueError(
                 f"operator is not Hermitian: term {string} has imaginary part {val.imag:.3e}"
             )
@@ -97,7 +99,7 @@ def jw_encode(
 
 
 def hamiltonian_terms(
-    tensors: IntegralTensors, ordering: str = "interleaved", zero_tol: float = 1e-14
+    tensors: IntegralTensors, ordering: str = "interleaved"
 ) -> list[tuple[float, LadderOps]]:
     """Spin-summed second-quantized term list for the given tensors."""
     check_ordering(ordering)
@@ -110,7 +112,7 @@ def hamiltonian_terms(
     g = tensors.two_body
     for k in range(n):
         for l in range(n):
-            if abs(h[k, l]) <= zero_tol:
+            if abs(h[k, l]) <= ZERO_TOL:
                 continue
             for s in range(2):
                 terms.append((h[k, l], ((so(k, s), True), (so(l, s), False))))
@@ -119,7 +121,7 @@ def hamiltonian_terms(
             for m in range(n):
                 for nn in range(n):
                     coeff = 0.5 * g[k, l, m, nn]
-                    if abs(coeff) <= zero_tol:
+                    if abs(coeff) <= ZERO_TOL:
                         continue
                     for s1 in range(2):
                         for s2 in range(2):

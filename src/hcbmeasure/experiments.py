@@ -467,7 +467,9 @@ def _cmd_decompose_batch(config: ExperimentConfig) -> dict:
         raise ValueError("batch mode generates its own random geometries; "
                          "use a shape-based system section")
     error_target = 2e-3
-    auto_graphs = config.rotations.auto_graphs or 5
+    # default: the top 5 pairing graphs, or all (n-1)!! when there are fewer
+    n_matchings = math.prod(range(spec.n_atoms - 1, 0, -2))
+    auto_graphs = config.rotations.auto_graphs or min(5, n_matchings)
     jobs = [
         (batch.seed + k, spec.n_atoms, spec.spacing, config.ordering,
          auto_graphs, batch.random_rotations, config.rotations.theta,
@@ -523,10 +525,12 @@ def cmd_groups(config: ExperimentConfig) -> dict:
     """Group-count table: term counts, LF/RLF/SI baselines, protocol count."""
     out = _out_dir(config)
     system = resolve_system(config)
-    op = build_qubit_hamiltonian(system.tensors, config.ordering,
-                                 config.prune_threshold)
-    op_calibrated = build_qubit_hamiltonian(system.tensors, config.ordering,
-                                            CALIBRATED_TERM_CUTOFF)
+    # prune(a).prune(b) == prune(max(a, b)): one encoding serves both counts
+    encoded = build_qubit_hamiltonian(
+        system.tensors, config.ordering,
+        min(config.prune_threshold, CALIBRATED_TERM_CUTOFF))
+    op = encoded.prune(config.prune_threshold)
+    op_calibrated = encoded.prune(CALIBRATED_TERM_CUTOFF)
     rotations = build_rotations(config, system)
     counts = {
         f"terms(prune={config.prune_threshold:g})": len(op),
@@ -561,7 +565,7 @@ def cmd_shots(config: ExperimentConfig) -> dict:
         "RLF": estimate_shots(rlf_grouping(op), state, config.epsilon),
         "SI": estimate_shots(si_grouping(op), state, config.epsilon),
         f"protocol-scenario-{config.scenario}": protocol_shot_estimate(
-            records, state, config.ordering, config.epsilon),
+            records, state, config.epsilon),
     }
     rows = [f"{name},{len(est.per_group)},{_FLOAT % est.total}"
             for name, est in methods.items()]
@@ -582,18 +586,16 @@ def cmd_shots(config: ExperimentConfig) -> dict:
 def _sampling_plan(
     config: ExperimentConfig, system: ResolvedSystem, op: PauliSum,
     state: Statevector,
-) -> tuple[list, float]:
-    """(group, state, shots) rows plus the additive constant for the method."""
+) -> list:
+    """(group, state, shots) rows of the configured sampling method."""
     if config.sample_method == "si":
         grouping = si_grouping(op)
         estimate = estimate_shots(grouping, state, config.epsilon)
-        plan = [(group, state, shots)
+        return [(group, state, shots)
                 for group, shots in zip(grouping.groups, estimate.per_group)]
-        return plan, 0.0
     rotations = build_rotations(config, system)
     records = run_protocol(system.tensors, rotations, state, config.ordering)
-    estimate = protocol_shot_estimate(records, state, config.ordering,
-                                      config.epsilon)
+    estimate = protocol_shot_estimate(records, state, config.epsilon)
     plan = []
     index = 0
     n = system.tensors.n_orbitals
@@ -603,7 +605,7 @@ def _sampling_plan(
         for group in record.groups:
             plan.append((group, rotated, estimate.per_group[index]))
             index += 1
-    return plan, 0.0
+    return plan
 
 
 def cmd_sample(config: ExperimentConfig) -> dict:
@@ -617,18 +619,17 @@ def cmd_sample(config: ExperimentConfig) -> dict:
     op = build_qubit_hamiltonian(system.tensors, config.ordering,
                                  config.prune_threshold)
     state, state_info = prepare_scenario_state(config, system, op)
-    plan, constant = _sampling_plan(config, system, op, state)
+    plan = _sampling_plan(config, system, op, state)
 
     if config.infinite_shots:
-        exact = constant + sum(expectation(st, group.to_sum())
-                               for group, st, _ in plan)
+        exact = sum(expectation(st, group.to_sum()) for group, st, _ in plan)
         energies = np.full(config.repetitions, exact)
         errors = np.zeros(config.repetitions)
         total_shots = 0
         exact_reference = exact
     else:
         result = finite_sample_experiment(plan, repetitions=config.repetitions,
-                                          seed=config.seed, constant=constant)
+                                          seed=config.seed)
         energies = result.energies
         errors = result.errors
         total_shots = int(result.total_shots)

@@ -19,32 +19,20 @@ import io
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .groups import (
     CliffordCircuit,
     CommutingGroup,
     diagonalized_members,
     diagonalizing_circuit,
 )
-from .paulis import PauliString, PauliSum
+from .paulis import COMMUTATION_MODES, PauliString, PauliSum, commutation_test
 
-COMMUTATION_MODES = ("qubitwise", "fully")
-GROUPING_METHODS = ("LF", "RLF", "SI", "HCB-protocol")
+GROUPING_METHODS = ("LF", "RLF", "SI")
 
 
 def strings_commute(a: PauliString, b: PauliString, mode: str) -> bool:
-    """Commutation test under the named mode.
-
-    "qubitwise": at every qubit the letters are equal or one is identity.
-    "fully": the operator products ab and ba are equal.
-    """
-    if mode == "qubitwise":
-        support = (a.x_mask | a.z_mask) & (b.x_mask | b.z_mask)
-        return ((a.x_mask ^ b.x_mask) | (a.z_mask ^ b.z_mask)) & support == 0
-    if mode == "fully":
-        return a.commutes_with(b)
-    raise ValueError(f"mode must be one of {COMMUTATION_MODES}, got {mode!r}")
+    """Commutation test under the named mode (see paulis.commutation_test)."""
+    return commutation_test(mode)(a, b)
 
 
 @dataclass(frozen=True)
@@ -76,14 +64,7 @@ class GroupingResult:
     def check(self) -> None:
         """Certify every group against the declared commutation mode."""
         for group in self.groups:
-            strings = group.strings()
-            for i in range(len(strings)):
-                for j in range(i + 1, len(strings)):
-                    if not strings_commute(strings[i], strings[j], self.mode):
-                        raise ValueError(
-                            f"group {group.label!r}: {strings[i]} and "
-                            f"{strings[j]} violate {self.mode} commutation"
-                        )
+            group.check_commuting(self.mode)
 
     def to_json(self) -> str:
         payload = {
@@ -102,11 +83,6 @@ class GroupingResult:
             ],
         }
         return json.dumps(payload, indent=2)
-
-
-def _canonical_terms(op: PauliSum) -> list[tuple[PauliString, float]]:
-    """Deterministic term order: by (x_mask, z_mask) ascending."""
-    return sorted(op.terms(), key=lambda t: (t[0].x_mask, t[0].z_mask))
 
 
 _MASK64 = (1 << 64) - 1
@@ -132,12 +108,13 @@ def _conflict_sets(
     terms: list[tuple[PauliString, float]], mode: str
 ) -> list[set[int]]:
     """Adjacency of the non-commutation graph over term indices."""
+    commute = commutation_test(mode)
     n = len(terms)
     adjacency: list[set[int]] = [set() for _ in range(n)]
     for i in range(n):
         si = terms[i][0]
         for j in range(i + 1, n):
-            if not strings_commute(si, terms[j][0], mode):
+            if not commute(si, terms[j][0]):
                 adjacency[i].add(j)
                 adjacency[j].add(i)
     return adjacency
@@ -170,7 +147,7 @@ def lf_grouping(op: PauliSum, mode: str = "fully") -> GroupingResult:
     fixed mask hash; each takes the smallest color absent from its
     already-colored neighbours.
     """
-    terms = _canonical_terms(op)
+    terms = op.terms()
     if not terms:
         raise ValueError("cannot group an empty operator")
     adjacency = _conflict_sets(terms, mode)
@@ -194,7 +171,7 @@ def rlf_grouping(op: PauliSum, mode: str = "fully") -> GroupingResult:
     neighbours among the vertices excluded from the class, until no
     admissible vertex remains.  Ties fall back to the fixed mask hash.
     """
-    terms = _canonical_terms(op)
+    terms = op.terms()
     if not terms:
         raise ValueError("cannot group an empty operator")
     adjacency = _conflict_sets(terms, mode)
@@ -228,7 +205,7 @@ def rlf_grouping(op: PauliSum, mode: str = "fully") -> GroupingResult:
 def si_grouping(op: PauliSum) -> GroupingResult:
     """Sorted insertion: weight-ordered terms join the first fully
     commuting group, opening a new group when none accepts them."""
-    terms = _canonical_terms(op)
+    terms = op.terms()
     if not terms:
         raise ValueError("cannot group an empty operator")
     order = sorted(range(len(terms)), key=lambda i: (-abs(terms[i][1]), i))
@@ -236,7 +213,7 @@ def si_grouping(op: PauliSum) -> GroupingResult:
     for idx in order:
         string = terms[idx][0]
         for members in group_members:
-            if all(strings_commute(string, terms[j][0], "fully") for j in members):
+            if all(string.commutes_with(terms[j][0]) for j in members):
                 members.append(idx)
                 break
         else:
@@ -322,39 +299,22 @@ def estimate_shots(
     return ShotEstimate(epsilon, tuple(labels), tuple(counts))
 
 
-def protocol_shot_estimate(
-    records,
-    state,
-    ordering: str = "interleaved",
-    epsilon: float = 1e-3,
-    rotate_frames: bool = False,
-) -> ShotEstimate:
+def protocol_shot_estimate(records, state, epsilon: float = 1e-3) -> ShotEstimate:
     """Shot budget for an iterative-extraction run, summed over steps.
 
-    By default every member expectation is taken on the supplied target
-    state itself, the convention behind the published per-method totals.
-    With rotate_frames=True the variance of each step's groups is taken
-    on the state rotated into that step's measurement basis instead,
-    which prices the experiment actually performed; it typically returns
-    a smaller (less conservative) budget.
+    Every member expectation is taken on the supplied, unrotated state,
+    the convention behind the published per-method totals.  The groups of
+    each step are measured on the state rotated into that step's basis,
+    so this prices the reference frame, not the frame actually sampled.
     """
-    from .simulator import apply_circuit, rotation_circuit
-
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     labels = []
     counts = []
     for record in records:
-        if rotate_frames:
-            circuit = rotation_circuit(
-                record.rotation, record.rotation.n_orbitals, ordering
-            )
-            measured = apply_circuit(state, circuit)
-        else:
-            measured = state
         for g_index, group in enumerate(record.groups, start=1):
             labels.append(f"step{record.step}-group{g_index}")
-            counts.append(group_shot_count(group, measured, epsilon))
+            counts.append(group_shot_count(group, state, epsilon))
     return ShotEstimate(epsilon, tuple(labels), tuple(counts))
 
 
@@ -385,7 +345,7 @@ def _gate_footprints(gate, spin_orbital) -> list[tuple[int, ...]]:
             a, b = sorted((spin_orbital(gate.p, spin), spin_orbital(gate.q, spin)))
             ops.extend(_excitation_ladder(a, b))
         return ops
-    if isinstance(gate, (sim.PairExchangeGate, sim.PairGivensGate)):
+    if isinstance(gate, sim.PairGivensGate):
         qubits = sorted(
             spin_orbital(orbital, spin)
             for orbital in (gate.p, gate.q)
@@ -395,11 +355,8 @@ def _gate_footprints(gate, spin_orbital) -> list[tuple[int, ...]]:
         for a, b in zip(qubits, qubits[1:]):
             ops.extend(_excitation_ladder(a, b))
         return ops
-    qubits = tuple(gate.qubits)
-    if len(qubits) == 1:
-        return [qubits]
-    if len(qubits) == 2:
-        return [qubits]
+    if isinstance(gate, (sim.XGate, sim.ZGate)):
+        return [gate.qubits]
     raise ValueError(f"cannot lay out gate {gate!r}")
 
 

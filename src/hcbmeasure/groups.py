@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .paulis import PauliString, PauliSum
+from .paulis import PauliString, PauliSum, commutation_test
 
 CLIFFORD_GATES = ("H", "S", "CNOT", "CZ", "X")
 
@@ -71,13 +71,16 @@ class CommutingGroup:
     def strings(self) -> list[PauliString]:
         return [s for s, _ in self.members]
 
-    def check_commuting(self) -> None:
+    def check_commuting(self, mode: str = "fully") -> None:
+        """Certify that every pair of members commutes under the mode."""
+        commute = commutation_test(mode)
         strs = self.strings()
         for i in range(len(strs)):
             for j in range(i + 1, len(strs)):
-                if not strs[i].commutes_with(strs[j]):
+                if not commute(strs[i], strs[j]):
                     raise ValueError(
-                        f"group {self.label!r}: {strs[i]} and {strs[j]} do not commute"
+                        f"group {self.label!r}: {strs[i]} and {strs[j]} "
+                        f"do not commute ({mode})"
                     )
 
     def to_sum(self) -> PauliSum:

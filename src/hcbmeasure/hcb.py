@@ -33,6 +33,10 @@ PAIR_HOP = "pair_hop"        # (k,k,l,l): both electrons of a pair move l -> k
 CROSS_EXCHANGE = "exchange"  # (k,l,l,k): spin exchange between two orbitals
 DENSITY = "density"          # (k,l,k,l): density-density coupling
 
+# Off-diagonal paired-layer strings at or below this magnitude are float
+# residues of terms the tensor's index symmetry cancels exactly.
+CANCELLATION_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class HCBDecomposition:
@@ -124,14 +128,10 @@ def extract_hcb(
 
 
 def hcb_operator(
-    decomposition: HCBDecomposition,
-    ordering: str = "interleaved",
-    prune_threshold: float = 0.0,
+    decomposition: HCBDecomposition, ordering: str = "interleaved"
 ) -> PauliSum:
-    """Qubit operator of the extracted layer (constant included)."""
-    return build_qubit_hamiltonian(
-        decomposition.consumed_tensors(), ordering, prune_threshold
-    )
+    """Qubit operator of the extracted layer (constant included), unpruned."""
+    return build_qubit_hamiltonian(decomposition.consumed_tensors(), ordering, 0.0)
 
 
 def _touched_orbital_y_counts(
@@ -161,10 +161,7 @@ def _touched_orbital_y_counts(
 
 
 def hcb_to_groups(
-    decomposition: HCBDecomposition,
-    ordering: str = "interleaved",
-    prune_threshold: float = 0.0,
-    cancellation_tol: float = 1e-10,
+    decomposition: HCBDecomposition, ordering: str = "interleaved"
 ) -> tuple[CommutingGroup, CommutingGroup, CommutingGroup]:
     """Split the extracted layer into its three self-commuting groups.
 
@@ -177,14 +174,14 @@ def hcb_to_groups(
     so each family is internally commuting under either qubit ordering;
     every group is certified before it is returned.
 
-    Off-diagonal strings below cancellation_tol are dropped: the paired
+    Off-diagonal strings up to CANCELLATION_TOL are dropped: the paired
     structure cancels them identically through the two-body tensor's
     index symmetry, and floating arithmetic leaves residues of order
     1e-16.  A larger coefficient that fits neither family signals a real
     encoding defect and raises.
     """
     check_ordering(ordering)
-    op = hcb_operator(decomposition, ordering, prune_threshold)
+    op = hcb_operator(decomposition, ordering)
     n = decomposition.n_orbitals
     diagonal = []
     one_y = []
@@ -193,7 +190,7 @@ def hcb_to_groups(
         if string.x_mask == 0:
             diagonal.append((string, coeff))
             continue
-        if abs(coeff) <= cancellation_tol:
+        if abs(coeff) <= CANCELLATION_TOL:
             continue
         counts = _touched_orbital_y_counts(string, n, ordering)
         if counts and all(c == 1 for c in counts):
@@ -238,7 +235,6 @@ def run_protocol(
     rotations: list[OrbitalRotation],
     state: Statevector,
     ordering: str = "interleaved",
-    prune_threshold: float = 0.0,
 ) -> list[ProtocolRecord]:
     """Measure the Hamiltonian layer by layer under a rotation sequence.
 
@@ -247,7 +243,8 @@ def run_protocol(
     state, and rotates the remaining residual back to the reference
     basis.  The cumulative estimate after the final step is the protocol's
     approximation of <state|H|state>; the exact value is always
-    cumulative + residual_expectation, whatever the truncation.
+    cumulative + residual_expectation, whatever the truncation, so each
+    record's abs_error is |residual_expectation|.
     """
     check_ordering(ordering)
     if not rotations:
@@ -257,7 +254,6 @@ def run_protocol(
         raise ValueError(
             f"state has {state.n_qubits} qubits, expected {2 * n}"
         )
-    exact = expectation(state, build_qubit_hamiltonian(tensors, ordering, 0.0))
     residual = tensors.copy()
     cumulative = 0.0
     records = []
@@ -266,7 +262,7 @@ def run_protocol(
             raise ValueError(f"rotation {step} size does not match tensors")
         rotated = rotate_integrals(residual, rotation)
         decomposition = extract_hcb(rotated, basis=rotation)
-        groups = hcb_to_groups(decomposition, ordering, prune_threshold)
+        groups = hcb_to_groups(decomposition, ordering)
         target = apply_circuit(state, rotation_circuit(rotation, n, ordering))
         contributions = tuple(
             expectation(target, group.to_sum()) for group in groups
@@ -284,7 +280,7 @@ def run_protocol(
                 contributions=contributions,
                 cumulative=cumulative,
                 residual_expectation=residual_expectation,
-                abs_error=abs(cumulative - exact),
+                abs_error=abs(residual_expectation),
             )
         )
     return records

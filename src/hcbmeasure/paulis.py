@@ -108,6 +108,23 @@ class PauliString:
         return (self.x_mask, self.z_mask)
 
 
+COMMUTATION_MODES = ("qubitwise", "fully")
+
+
+def commutation_test(mode: str):
+    """The pairwise commutation predicate of the named mode.
+
+    "qubitwise": at every qubit the letters are equal or one is identity.
+    "fully": the operator products ab and ba are equal.
+    Callers testing many pairs look the predicate up once and call it.
+    """
+    if mode == "qubitwise":
+        return PauliString.qubitwise_commutes_with
+    if mode == "fully":
+        return PauliString.commutes_with
+    raise ValueError(f"mode must be one of {COMMUTATION_MODES}, got {mode!r}")
+
+
 def multiply(a: PauliString, b: PauliString) -> tuple[PauliString, complex]:
     """Product a*b as (string, phase) with phase in {1, i, -1, -i}."""
     if a.n_qubits != b.n_qubits:

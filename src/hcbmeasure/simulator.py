@@ -7,7 +7,7 @@ is a full 2^n complex vector.
 Fermionic gates act with exact Jordan-Wigner phases:
 
   PairRotationGate(p, q, theta): exp[ theta/2 * sum_s (a+_ps a_qs - h.c.) ]
-  PairExchangeGate(p, q, phi):   exp[ -i phi/2 (a+_pu a+_pd a_qd a_qu + h.c.) ]
+  PairGivensGate(p, q, phi):     exp[ phi/2 (a+_pu a+_pd a_qd a_qu - h.c.) ]
 
 applied directly on the amplitudes, so no Trotter or matrix exponentials
 are involved.
@@ -88,26 +88,6 @@ class ZGate:
 
 
 @dataclass(frozen=True)
-class OneQubitGate:
-    qubit: int
-    matrix: tuple  # 2x2, row-major nested tuple to stay hashable
-
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return (self.qubit,)
-
-
-@dataclass(frozen=True)
-class TwoQubitGate:
-    qubit_pair: tuple[int, int]
-    matrix: tuple  # 4x4 indexed by (b_high, b_low) = (pair[0], pair[1])
-
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return self.qubit_pair
-
-
-@dataclass(frozen=True)
 class PairRotationGate:
     """Spin-summed Givens rotation between spatial orbitals p and q."""
 
@@ -117,25 +97,12 @@ class PairRotationGate:
 
 
 @dataclass(frozen=True)
-class PairExchangeGate:
-    """Pair-hop rotation exp[-i phi/2 (a+_pu a+_pd a_qd a_qu + h.c.)].
-
-    Couples the two doubly-occupied configurations with a relative -i
-    amplitude (an X-axis rotation in that two-level subspace).
-    """
-
-    p: int
-    q: int
-    phi: float
-
-
-@dataclass(frozen=True)
 class PairGivensGate:
     """Pair-hop rotation exp[phi/2 (a+_pu a+_pd a_qd a_qu - h.c.)].
 
-    The real-amplitude (Y-axis) counterpart of PairExchangeGate: it forms
-    cos/sin superpositions of the two doubly-occupied configurations, which
-    is what a pair-correlated ground-state ansatz needs.
+    A real-amplitude (Y-axis) rotation in the two-level subspace of the
+    doubly-occupied configurations: it forms cos/sin superpositions of the
+    two, which is what a pair-correlated ground-state ansatz needs.
     """
 
     p: int
@@ -143,15 +110,7 @@ class PairGivensGate:
     phi: float
 
 
-Gate = (
-    XGate
-    | ZGate
-    | OneQubitGate
-    | TwoQubitGate
-    | PairRotationGate
-    | PairExchangeGate
-    | PairGivensGate
-)
+Gate = XGate | ZGate | PairRotationGate | PairGivensGate
 
 
 @dataclass
@@ -180,17 +139,13 @@ class Circuit:
 
 _GATE_TOKENS = {
     "UR": PairRotationGate,
-    "UC": PairExchangeGate,
     "UG": PairGivensGate,
 }
 
 
 def circuit_to_text(circuit: Circuit) -> str:
-    """One gate per line: ``UR p q theta`` / ``UC p q phi`` / ``UG p q phi``
-    / ``X i`` / ``Z i``, with a header recording size and layout.
-
-    Gates carrying explicit matrices have no text form and raise ValueError.
-    """
+    """One gate per line: ``UR p q theta`` / ``UG p q phi`` / ``X i`` /
+    ``Z i``, with a header recording size and layout."""
     lines = [f"# n_orbitals={circuit.n_orbitals} ordering={circuit.ordering}"]
     for gate in circuit.gates:
         if isinstance(gate, XGate):
@@ -199,8 +154,6 @@ def circuit_to_text(circuit: Circuit) -> str:
             lines.append(f"Z {gate.qubit}")
         elif isinstance(gate, PairRotationGate):
             lines.append(f"UR {gate.p} {gate.q} {gate.theta!r}")
-        elif isinstance(gate, PairExchangeGate):
-            lines.append(f"UC {gate.p} {gate.q} {gate.phi!r}")
         elif isinstance(gate, PairGivensGate):
             lines.append(f"UG {gate.p} {gate.q} {gate.phi!r}")
         else:
@@ -265,9 +218,7 @@ def _apply_single_excitation(
     return out
 
 
-def _apply_pair_hop(
-    amps: np.ndarray, circuit: Circuit, gate: PairExchangeGate | PairGivensGate
-) -> np.ndarray:
+def _apply_pair_hop(amps: np.ndarray, circuit: Circuit, gate: PairGivensGate) -> np.ndarray:
     i1 = circuit.spin_orbital(gate.p, 0)
     i2 = circuit.spin_orbital(gate.p, 1)
     j1 = circuit.spin_orbital(gate.q, 0)
@@ -290,12 +241,8 @@ def _apply_pair_hop(
     sign = 1.0 - 2.0 * (total & 1)
     c, s = np.cos(gate.phi / 2.0), np.sin(gate.phi / 2.0)
     out = amps.copy()
-    if isinstance(gate, PairExchangeGate):
-        out[v1] = c * amps[v1] - 1.0j * sign * s * amps[v2]
-        out[v2] = c * amps[v2] - 1.0j * sign * s * amps[v1]
-    else:
-        out[v1] = c * amps[v1] + sign * s * amps[v2]
-        out[v2] = c * amps[v2] - sign * s * amps[v1]
+    out[v1] = c * amps[v1] + sign * s * amps[v2]
+    out[v2] = c * amps[v2] - sign * s * amps[v1]
     return out
 
 
@@ -321,16 +268,12 @@ def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
         elif isinstance(gate, ZGate):
             idx = np.arange(len(amps))
             amps = amps * (1.0 - 2.0 * ((idx >> gate.qubit) & 1))
-        elif isinstance(gate, OneQubitGate):
-            amps = _apply_matrix(amps, n, gate.qubits, np.asarray(gate.matrix, dtype=complex))
-        elif isinstance(gate, TwoQubitGate):
-            amps = _apply_matrix(amps, n, gate.qubits, np.asarray(gate.matrix, dtype=complex))
         elif isinstance(gate, PairRotationGate):
             for spin in (0, 1):
                 i = circuit.spin_orbital(gate.p, spin)
                 j = circuit.spin_orbital(gate.q, spin)
                 amps = _apply_single_excitation(amps, n, i, j, gate.theta)
-        elif isinstance(gate, (PairExchangeGate, PairGivensGate)):
+        elif isinstance(gate, PairGivensGate):
             amps = _apply_pair_hop(amps, circuit, gate)
         else:
             raise ValueError(f"unknown gate {gate!r}")
@@ -408,21 +351,15 @@ class PairAnsatz:
     graph contributes a rotated pair-hop block
     rotate(theta) -> hop(phi) -> rotate(-theta) with two angles.
     Extra two-orbital rotations may be appended, one angle each.
-
-    `exchange` picks the pair-hop amplitude convention: "givens" (default)
-    uses the real rotation PairGivensGate, which can weight the two pair
-    configurations with arbitrary real cos/sin amplitudes and is what
-    ground-state optimization needs; "phase" uses PairExchangeGate, whose
-    -i amplitude leaves any real-coefficient expectation blind to the
-    pair coherence, so optimized energies saturate far above the ground
-    state.  Keep "givens" unless specifically studying that convention.
+    Pair hops are PairGivensGate rotations, whose real cos/sin amplitudes
+    can weight the two pair configurations as ground-state optimization
+    needs.
     """
 
     n_orbitals: int
     graphs: tuple[PairingGraph, ...]
     ordering: str = "interleaved"
     extra_pairs: tuple[tuple[int, int], ...] = ()
-    exchange: str = "givens"
 
     def __post_init__(self) -> None:
         check_ordering(self.ordering)
@@ -434,13 +371,6 @@ class PairAnsatz:
         for p, q in self.extra_pairs:
             if not (0 <= p < self.n_orbitals and 0 <= q < self.n_orbitals and p != q):
                 raise ValueError(f"invalid extra pair ({p}, {q})")
-        if self.exchange not in ("givens", "phase"):
-            raise ValueError(f"exchange must be 'givens' or 'phase', got {self.exchange!r}")
-
-    def _hop(self, p: int, q: int, angle: float) -> Gate:
-        if self.exchange == "givens":
-            return PairGivensGate(p, q, angle)
-        return PairExchangeGate(p, q, angle)
 
     @property
     def n_electrons(self) -> int:
@@ -463,7 +393,7 @@ class PairAnsatz:
         for (p, q), angle in zip(first.edges, params[: len(first.edges)]):
             circuit.add(XGate(circuit.spin_orbital(p, 0)))
             circuit.add(XGate(circuit.spin_orbital(p, 1)))
-            circuit.add(self._hop(p, q, angle))
+            circuit.add(PairGivensGate(p, q, angle))
         k = len(first.edges)
         theta1 = params[k]
         k += 1
@@ -475,7 +405,7 @@ class PairAnsatz:
             for p, q in graph.edges:
                 circuit.add(PairRotationGate(p, q, theta))
             for p, q in graph.edges:
-                circuit.add(self._hop(p, q, phi))
+                circuit.add(PairGivensGate(p, q, phi))
             for p, q in reversed(graph.edges):
                 circuit.add(PairRotationGate(p, q, -theta))
         for (p, q), angle in zip(self.extra_pairs, params[k:]):
@@ -491,7 +421,6 @@ def build_pair_ansatz(
     graphs: list[PairingGraph],
     ordering: str = "interleaved",
     extra_pairs: list[tuple[int, int]] | None = None,
-    exchange: str = "givens",
 ) -> PairAnsatz:
     n_orbitals = graphs[0].n_orbitals
     return PairAnsatz(
@@ -499,7 +428,6 @@ def build_pair_ansatz(
         graphs=tuple(graphs),
         ordering=ordering,
         extra_pairs=tuple(extra_pairs or ()),
-        exchange=exchange,
     )
 
 
@@ -539,12 +467,30 @@ def optimize_ansatz(
 # expectations
 
 
+def _y_phase(x_mask: int, z_mask: int) -> complex:
+    """i^|x&z|: a string is this phase times X^x Z^z, one i per Y = iXZ."""
+    return 1.0j ** ((x_mask & z_mask).bit_count() % 4)
+
+
+def _x_buckets(op: PauliSum) -> dict[int, list[tuple[int, complex]]]:
+    """Terms grouped by X-pattern as (z_mask, coeff * i^|x&z|), in term order.
+
+    Every term of a bucket maps basis state b to b ^ x_mask, so callers
+    permute (or index) the amplitudes once per bucket.
+    """
+    by_x: dict[int, list[tuple[int, complex]]] = {}
+    for string, coeff in op.terms():
+        by_x.setdefault(string.x_mask, []).append(
+            (string.z_mask, coeff * _y_phase(string.x_mask, string.z_mask)))
+    return by_x
+
+
 def pauli_expectation(state: Statevector, string: PauliString) -> float:
     if string.n_qubits != state.n_qubits:
         raise ValueError("string and state qubit counts differ")
     amps = state.amplitudes
     idx = np.arange(len(amps), dtype=np.int64)
-    phase = 1.0j ** ((string.x_mask & string.z_mask).bit_count() % 4)
+    phase = _y_phase(string.x_mask, string.z_mask)
     signs = 1.0 - 2.0 * _parity(idx, string.z_mask)
     val = phase * np.vdot(amps[idx ^ string.x_mask], signs * amps)
     return float(val.real)
@@ -556,16 +502,12 @@ def expectation(state: Statevector, op: PauliSum) -> float:
         raise ValueError("operator and state qubit counts differ")
     amps = state.amplitudes
     idx = np.arange(len(amps), dtype=np.int64)
-    by_x: dict[int, list[tuple[int, float]]] = {}
-    for string, coeff in op.terms():
-        by_x.setdefault(string.x_mask, []).append((string.z_mask, coeff))
     total = 0.0 + 0.0j
-    for x_mask, entries in by_x.items():
+    for x_mask, entries in _x_buckets(op).items():
         overlap = np.conj(amps[idx ^ x_mask]) * amps
-        for z_mask, coeff in entries:
-            phase = 1.0j ** ((x_mask & z_mask).bit_count() % 4)
+        for z_mask, phased in entries:
             signs = 1.0 - 2.0 * _parity(idx, z_mask)
-            total += coeff * phase * np.dot(signs, overlap)
+            total += phased * np.dot(signs, overlap)
     if abs(total.imag) > 1e-8:
         raise ValueError(f"expectation has imaginary residue {total.imag:.3e}")
     return float(total.real)
@@ -582,11 +524,8 @@ def _sector_states(n_qubits: int, n_electrons: int) -> np.ndarray:
 
 def _sector_matrix(op: PauliSum, sector: np.ndarray, n_electrons: int) -> scipy.sparse.csr_matrix:
     dim = len(sector)
-    by_x: dict[int, list[tuple[int, float]]] = {}
-    for string, coeff in op.terms():
-        by_x.setdefault(string.x_mask, []).append((string.z_mask, coeff))
     rows, cols, vals = [], [], []
-    for x_mask, entries in by_x.items():
+    for x_mask, entries in _x_buckets(op).items():
         target = sector ^ x_mask
         valid = np.bitwise_count(target) == n_electrons
         src = np.nonzero(valid)[0]
@@ -595,9 +534,8 @@ def _sector_matrix(op: PauliSum, sector: np.ndarray, n_electrons: int) -> scipy.
         tgt_states = target[valid]
         tgt = np.searchsorted(sector, tgt_states)
         amp = np.zeros(len(src), dtype=complex)
-        for z_mask, coeff in entries:
-            phase = 1.0j ** ((x_mask & z_mask).bit_count() % 4)
-            amp += coeff * phase * (1.0 - 2.0 * _parity(sector[src], z_mask))
+        for z_mask, phased in entries:
+            amp += phased * (1.0 - 2.0 * _parity(sector[src], z_mask))
         # entry <target| P |source>
         rows.append(tgt)
         cols.append(src)
@@ -653,39 +591,54 @@ class GroupSample:
     energy: float  # sum_i c_i <P_i>_est
 
 
+@dataclass(frozen=True)
+class _PreparedGroup:
+    """A group made ready to sample on one state.
+
+    members: (diagonal image, folded coefficient) per member, where
+    folded = sign * original coefficient; signs carries that sign back to
+    the original string's estimate.  probs: outcome distribution of the
+    state after the diagonalizing circuit.
+    """
+
+    label: str
+    members: list[tuple[PauliString, float]]
+    signs: list[float]
+    probs: np.ndarray
+
+    @classmethod
+    def build(cls, state: Statevector, group: CommutingGroup) -> "_PreparedGroup":
+        diag = diagonalizing_circuit(group)
+        members = diagonalized_members(group, diag)
+        signs = [1.0 if folded == orig else -1.0
+                 for (_, folded), (_, orig) in zip(members, group.members)]
+        probs = apply_clifford(state, diag).probabilities()
+        return cls(group.label, members, signs, probs / probs.sum())
+
+    def draw(self, shots: int, rng: np.random.Generator) -> GroupSample:
+        outcomes = rng.choice(len(self.probs), size=shots, p=self.probs)
+        values, counts = np.unique(outcomes, return_counts=True)
+        weights = counts / shots
+        estimates = np.empty(len(self.members))
+        energy = 0.0
+        for k, ((image, folded_coeff), sign) in enumerate(zip(self.members, self.signs)):
+            parity = 1.0 - 2.0 * _parity(values, image.z_mask)
+            diag_mean = float(np.dot(weights, parity))
+            estimates[k] = sign * diag_mean
+            energy += folded_coeff * diag_mean
+        return GroupSample(self.label, shots, estimates, energy)
+
+
 def sample_group(
     state: Statevector,
     group: CommutingGroup,
     shots: int,
     rng: np.random.Generator,
-    diag: CliffordCircuit | None = None,
 ) -> GroupSample:
     """Measure all members of a fully-commuting group with shared shots."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    if diag is None:
-        diag = diagonalizing_circuit(group)
-    members = diagonalized_members(group, diag)
-    rotated = apply_clifford(state, diag)
-    probs = rotated.probabilities()
-    probs = probs / probs.sum()
-    outcomes = rng.choice(len(probs), size=shots, p=probs)
-    values, counts = np.unique(outcomes, return_counts=True)
-    weights = counts / shots
-    estimates = np.empty(len(members))
-    energy = 0.0
-    for k, ((image, folded_coeff), (orig, orig_coeff)) in enumerate(
-        zip(members, group.members)
-    ):
-        parity = 1.0 - 2.0 * _parity(values, image.z_mask)
-        diag_mean = float(np.dot(weights, parity))
-        # folded_coeff = sign * orig_coeff, so <P>_est carries the sign back
-        sign = 1.0 if folded_coeff == orig_coeff else -1.0
-        if orig_coeff != 0.0:
-            sign = folded_coeff / orig_coeff
-        estimates[k] = sign * diag_mean
-        energy += folded_coeff * diag_mean
-    return GroupSample(group.label, shots, estimates, energy)
+    return _PreparedGroup.build(state, group).draw(shots, rng)
 
 
 @dataclass
@@ -724,28 +677,26 @@ def finite_sample_experiment(
     plan: list[tuple[CommutingGroup, Statevector, int]],
     repetitions: int,
     seed: int,
-    constant: float = 0.0,
 ) -> SampledEnergies:
     """Sample every (group, state, shots) entry `repetitions` times.
 
-    The exact reference is the sum of exact group expectations plus the
-    constant, so the reported errors isolate sampling noise for the
-    measured operator set.
+    The exact reference is the sum of exact group expectations, so the
+    reported errors isolate sampling noise for the measured operator set.
+    Each entry is diagonalized and rotated once; repetitions only draw.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     rng = np.random.default_rng(seed)
     prepared = []
-    exact = constant
+    exact = 0.0
     for group, state, shots in plan:
-        diag = diagonalizing_circuit(group)
         exact += expectation(state, group.to_sum())
-        prepared.append((group, state, max(1, int(np.ceil(shots))), diag))
+        prepared.append((_PreparedGroup.build(state, group), max(1, int(np.ceil(shots)))))
     energies = np.empty(repetitions)
     for rep in range(repetitions):
-        total = constant
-        for group, state, shots, diag in prepared:
-            total += sample_group(state, group, shots, rng, diag).energy
+        total = 0.0
+        for entry, shots in prepared:
+            total += entry.draw(shots, rng).energy
         energies[rep] = total
-    total_shots = sum(entry[2] for entry in prepared)
+    total_shots = sum(shots for _, shots in prepared)
     return SampledEnergies(energies, exact, total_shots)

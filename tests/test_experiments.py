@@ -1,0 +1,112 @@
+"""Experiment harness and CLI: every verb on the H4 line, determinism, errors."""
+
+import json
+
+import pytest
+
+from hcbmeasure.cli import main
+from hcbmeasure.experiments import COMMANDS, cmd_decompose, config_from_dict
+
+H4_LINE = {
+    "system": {"shape": "line", "n_atoms": 4, "spacing": 1.5},
+    "rotations": {"auto_graphs": 3, "random_count": 2},
+    "repetitions": 5,
+}
+
+# sample_method only changes what `sample` measures, so the other verbs run once
+RUNS = [(verb, "si") for verb in sorted(COMMANDS)] + [("sample", "protocol")]
+
+
+def _run(out_dir, verb, method):
+    config = config_from_dict(
+        {**H4_LINE, "sample_method": method, "output_dir": str(out_dir)})
+    payload = COMMANDS[verb](config)
+    files = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+    return payload, files
+
+
+@pytest.fixture(scope="module")
+def h4_runs(tmp_path_factory):
+    """Every run twice, each into its own fresh directory."""
+    runs = {}
+    for verb, method in RUNS:
+        runs[verb, method] = [
+            _run(tmp_path_factory.mktemp(f"{verb}-{method}"), verb, method)
+            for _ in range(2)
+        ]
+    return runs
+
+
+@pytest.mark.parametrize("verb,method", RUNS)
+def test_verb_outputs_are_byte_identical_across_runs(h4_runs, verb, method):
+    (_, first), (_, second) = h4_runs[verb, method]
+    assert first
+    assert first == second
+
+
+def test_h4_line_summaries(h4_runs):
+    groups = h4_runs["groups", "si"][0][0]
+    assert (groups["LF"], groups["RLF"], groups["SI"]) == (29, 19, 19)
+    assert groups["protocol"] == 15
+
+    decompose = h4_runs["decompose", "si"][0][0]
+    assert decompose["n_steps"] == 5
+    for record in decompose["records"]:
+        assert record["cumulative"] + record["residual_expectation"] == \
+            pytest.approx(decompose["exact_energy"], abs=1e-9)
+        assert record["abs_error"] == abs(record["residual_expectation"])
+
+    si = h4_runs["sample", "si"][0][0]
+    protocol = h4_runs["sample", "protocol"][0][0]
+    assert si["exact_reference"] == pytest.approx(si["exact_energy"], abs=1e-9)
+    assert protocol["exact_reference"] == pytest.approx(
+        decompose["records"][-1]["cumulative"], abs=1e-10)
+    for payload in (si, protocol):
+        assert payload["total_shots"] > 0
+    _, files = h4_runs["sample", "protocol"][0]
+    assert len(files["sample.csv"].splitlines()) == 1 + H4_LINE["repetitions"]
+
+
+def test_batch_decompose_defaults_to_the_available_matchings(tmp_path):
+    """H4 has 3 perfect matchings, fewer than the default of 5 graphs."""
+    config = config_from_dict({
+        "system": {"n_atoms": 4},
+        "batch": {"count": 2, "random_rotations": 1},
+        "output_dir": str(tmp_path),
+    })
+    payload = cmd_decompose(config)
+    assert payload["batch_count"] == 2
+    rows = (tmp_path / "batch.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["4", "4"]
+
+
+def test_batch_decompose_rejects_too_many_explicit_graphs(tmp_path):
+    config = config_from_dict({
+        "system": {"n_atoms": 4},
+        "rotations": {"auto_graphs": 4},
+        "batch": {"count": 1, "random_rotations": 0},
+        "output_dir": str(tmp_path),
+    })
+    with pytest.raises(ValueError, match="only 3 exist"):
+        cmd_decompose(config)
+
+
+def test_cli_prints_summary_and_exits_0(tmp_path, capsys):
+    config = tmp_path / "depth.yaml"
+    config.write_text("rotations: {graphs: ['0-1,2-3']}\n")
+    assert main(["depth", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rotations"][0]["rotation"]
+    assert (tmp_path / "out" / "depth.csv").exists()
+
+
+def test_cli_bad_config_key_exits_1_with_error_json(tmp_path, capsys):
+    config = tmp_path / "bad.yaml"
+    config.write_text("bogus_key: 1\n")
+    assert main(["eigen", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert set(error) == {"error", "message"}
+    assert error["error"] == "ValueError"
+    assert "bogus_key" in error["message"]

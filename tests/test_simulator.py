@@ -13,8 +13,6 @@ from hcbmeasure.rotations import givens_matrix, rotate_integrals
 from hcbmeasure.simulator import (
     MAX_QUBITS,
     Circuit,
-    OneQubitGate,
-    PairExchangeGate,
     PairGivensGate,
     PairRotationGate,
     Statevector,
@@ -108,14 +106,6 @@ def _pair_hop_generator():
             @ ladders[so(1, 1)] @ ladders[so(1, 0)])
 
 
-def test_pair_exchange_matches_expm_oracle():
-    phi = 0.53
-    a = _pair_hop_generator()
-    u = circuit_unitary(Circuit(2, "interleaved", [PairExchangeGate(0, 1, phi)]))
-    oracle = expm(-1j * phi / 2 * (a + a.conj().T))
-    assert np.max(np.abs(u - oracle)) < 1e-12
-
-
 def test_pair_givens_matches_expm_oracle():
     phi = 0.53
     a = _pair_hop_generator()
@@ -169,7 +159,9 @@ def test_optimized_ansatz_reaches_chemical_scale(h4_operator, h4_graphs,
 @pytest.mark.xfail(
     strict=False,
     reason="two-graph pair ansatz plateaus near 35 mHa above the exact "
-    "ground energy for the 4-atom chain; see the decisions ledger",
+    "ground energy for the 4-atom chain; the three-graph form with extra "
+    "pair rotations in test_optimized_ansatz_reaches_chemical_scale levels "
+    "off near 10 mHa",
 )
 def test_two_graph_ansatz_below_five_millihartree(h4_operator, h4_graphs,
                                                   h4_ground):
@@ -256,16 +248,14 @@ def test_finite_sample_identity_only_has_zero_error():
     group = CommutingGroup(2, ((PauliString(2), 0.7),))
     state = Statevector.computational_basis(2)
     result = finite_sample_experiment([(group, state, 10)], repetitions=5,
-                                      seed=1, constant=0.3)
+                                      seed=1)
     assert np.max(result.errors) == 0.0
-    assert result.exact == pytest.approx(1.0)
+    assert result.exact == pytest.approx(0.7)
 
 
 def test_finite_sample_error_shrinks_with_budget(h2_operator, h2_ground):
     _, state = h2_ground
     grouping = si_grouping(h2_operator)
-    constant = sum(
-        c for g in grouping.groups for s, c in g.members if s.is_identity())
     from hcbmeasure.grouping import estimate_shots
 
     def run(epsilon, seed):
@@ -273,8 +263,7 @@ def test_finite_sample_error_shrinks_with_budget(h2_operator, h2_ground):
         plan = [
             (group, state, max(1, int(np.ceil(shots))))
             for group, shots in zip(grouping.groups, est.per_group)]
-        return finite_sample_experiment(plan, repetitions=60, seed=seed,
-                                        constant=constant)
+        return finite_sample_experiment(plan, repetitions=60, seed=seed)
 
     coarse = run(2e-3, seed=7)
     fine = run(5e-4, seed=7)
@@ -286,7 +275,6 @@ def test_circuit_text_round_trip(h4_graphs):
     circuit = Circuit(2, "reordered")
     circuit.add(XGate(0))
     circuit.add(PairRotationGate(0, 1, 0.25))
-    circuit.add(PairExchangeGate(0, 1, -0.5))
     circuit.add(PairGivensGate(0, 1, 1.0 / 3.0))
     text = circuit_to_text(circuit)
     back = circuit_from_text(text)
@@ -296,10 +284,6 @@ def test_circuit_text_round_trip(h4_graphs):
 
 
 def test_circuit_text_errors():
-    circuit = Circuit(1, "interleaved")
-    circuit.add(OneQubitGate(0, ((0.0, 1.0), (1.0, 0.0))))
-    with pytest.raises(ValueError, match="matrix"):
-        circuit_to_text(circuit)
     with pytest.raises(ValueError, match="header"):
         circuit_from_text("X 0\n")
     header = "# n_orbitals=1 ordering=interleaved\n"
