@@ -46,6 +46,7 @@ from .integrals import (
     chemist_to_internal,
     internal_to_chemist,
     minimal_basis_integrals,
+    rdm_expectation,
 )
 from .paulis import PauliString, PauliSum
 from .rotations import (
@@ -75,6 +76,7 @@ from .simulator import (
     pauli_expectation,
     rotation_circuit,
     sample_group,
+    spin_summed_rdms,
 )
 
 __all__ = [
@@ -82,7 +84,7 @@ __all__ = [
     # geometry / integrals / interchange
     "Geometry", "build_geometry", "from_xyz", "to_xyz",
     "IntegralTensors", "minimal_basis_integrals",
-    "chemist_to_internal", "internal_to_chemist",
+    "chemist_to_internal", "internal_to_chemist", "rdm_expectation",
     "read_fcidump", "write_fcidump", "read_fcidump_header",
     # rotations
     "OrbitalRotation", "PairingGraph", "parse_graph", "identity_rotation",
@@ -104,7 +106,7 @@ __all__ = [
     "Statevector", "Circuit", "apply_circuit", "apply_clifford",
     "rotation_circuit", "PairAnsatz", "build_pair_ansatz", "optimize_ansatz",
     "expectation", "pauli_expectation", "ground_state", "sample_group",
-    "SampledEnergies", "finite_sample_experiment",
+    "SampledEnergies", "finite_sample_experiment", "spin_summed_rdms",
     # experiment harness
     "ExperimentConfig", "config_from_dict", "load_config",
 ]

@@ -15,6 +15,7 @@ import concurrent.futures
 import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -176,11 +177,11 @@ class ExperimentConfig:
             raise ValueError("scenario II requires an 'ansatz' section")
         if self.scenario == "I" and self.ansatz is not None:
             raise ValueError("scenario I forbids an 'ansatz' section")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:  # also rejects NaN
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.prune_threshold < 0:
+        if not self.prune_threshold >= 0:
             raise ValueError("prune_threshold must be >= 0")
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError("max_steps must be >= 1 when given")
@@ -192,7 +193,49 @@ class ExperimentConfig:
             )
 
 
-def _section(data: dict, key: str, cls, tuple_fields: tuple[str, ...] = ()):
+def _checked(key: str, value, hint):
+    """The config value as its field's type, or ValueError naming all three.
+
+    Floats also accept ints and numeric strings (YAML 1.1 reads ``1e-3``
+    as a string); ints accept ints only, never bools or strings.
+    """
+    options = typing.get_args(hint)
+    if type(None) in options:
+        if value is None:
+            return None
+        (hint,) = [t for t in options if t is not type(None)]
+    if hint is float and not isinstance(value, bool):
+        if isinstance(value, (int, float)):
+            return float(value)
+        if isinstance(value, str):
+            try:
+                return float(value)
+            except ValueError:
+                pass
+    elif hint is int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+    elif hint in (str, bool):
+        if isinstance(value, hint):
+            return value
+    elif typing.get_origin(hint) is tuple:
+        if isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value):
+            return tuple(value)
+    expected = "list of str" if typing.get_origin(hint) is tuple else hint.__name__
+    raise ValueError(
+        f"config key {key!r} has value {value!r} ({type(value).__name__}), "
+        f"expected {expected}"
+    )
+
+
+def _typed(cls, raw: dict, prefix: str = "") -> dict:
+    """raw's values checked against the field types of dataclass cls."""
+    hints = typing.get_type_hints(cls)
+    return {name: _checked(prefix + name, value, hints[name])
+            for name, value in raw.items()}
+
+
+def _section(data: dict, key: str, cls):
     raw = data.get(key)
     if raw is None:
         return None
@@ -202,11 +245,7 @@ def _section(data: dict, key: str, cls, tuple_fields: tuple[str, ...] = ()):
     unknown = set(raw) - allowed
     if unknown:
         raise ValueError(f"unknown keys in {key!r} section: {sorted(unknown)}")
-    kwargs = dict(raw)
-    for name in tuple_fields:
-        if name in kwargs and kwargs[name] is not None:
-            kwargs[name] = tuple(kwargs[name])
-    return cls(**kwargs)
+    return cls(**_typed(cls, raw, f"{key}."))
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -217,15 +256,16 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     unknown = set(data) - allowed
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    kwargs: dict = {k: v for k, v in data.items() if k not in
-                    ("system", "rotations", "ansatz", "batch")}
+    sections = ("system", "rotations", "ansatz", "batch")
+    kwargs = _typed(ExperimentConfig,
+                    {k: v for k, v in data.items() if k not in sections})
     system = _section(data, "system", SystemSpec)
     if system is not None:
         kwargs["system"] = system
-    rotations = _section(data, "rotations", RotationSpec, ("graphs",))
+    rotations = _section(data, "rotations", RotationSpec)
     if rotations is not None:
         kwargs["rotations"] = rotations
-    kwargs["ansatz"] = _section(data, "ansatz", AnsatzSpec, ("graphs", "extra_pairs"))
+    kwargs["ansatz"] = _section(data, "ansatz", AnsatzSpec)
     kwargs["batch"] = _section(data, "batch", BatchSpec)
     return ExperimentConfig(**kwargs)
 

@@ -23,10 +23,16 @@ import numpy as np
 
 from .encoding import build_qubit_hamiltonian, check_ordering
 from .groups import CommutingGroup
-from .integrals import IntegralTensors
+from .integrals import IntegralTensors, rdm_expectation
 from .paulis import PauliString, PauliSum
 from .rotations import OrbitalRotation, identity_rotation, rotate_integrals
-from .simulator import Statevector, apply_circuit, expectation, rotation_circuit
+from .simulator import (
+    Statevector,
+    apply_circuit,
+    expectation,
+    rotation_circuit,
+    spin_summed_rdms,
+)
 
 # g-tensor index patterns consumed by the extraction, keyed by list name
 PAIR_HOP = "pair_hop"        # (k,k,l,l): both electrons of a pair move l -> k
@@ -245,6 +251,11 @@ def run_protocol(
     approximation of <state|H|state>; the exact value is always
     cumulative + residual_expectation, whatever the truncation, so each
     record's abs_error is |residual_expectation|.
+
+    The groups are what the protocol measures, so their values come from
+    the rotated state.  The residual is only the truncation error: the
+    state's spin-summed 1- and 2-RDM are built once per call and each
+    step's residual tensors are contracted with them.
     """
     check_ordering(ordering)
     if not rotations:
@@ -254,6 +265,7 @@ def run_protocol(
         raise ValueError(
             f"state has {state.n_qubits} qubits, expected {2 * n}"
         )
+    one_rdm, two_rdm = spin_summed_rdms(state, ordering)
     residual = tensors.copy()
     cumulative = 0.0
     records = []
@@ -269,9 +281,7 @@ def run_protocol(
         )
         cumulative += float(sum(contributions))
         residual = rotate_integrals(decomposition.residual, rotation.transpose())
-        residual_expectation = expectation(
-            state, build_qubit_hamiltonian(residual, ordering, 0.0)
-        )
+        residual_expectation = rdm_expectation(residual, one_rdm, two_rdm)
         records.append(
             ProtocolRecord(
                 step=step,

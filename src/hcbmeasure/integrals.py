@@ -77,6 +77,24 @@ class IntegralTensors:
         )
 
 
+def rdm_expectation(
+    tensors: IntegralTensors, one_rdm: np.ndarray, two_rdm: np.ndarray
+) -> float:
+    """<H> of the tensors on a state given by its spin-summed RDMs.
+
+    e_nuc + sum h[k,l] D[k,l] + 1/2 sum g[k,l,m,n] G[k,l,m,n], with D and G
+    as built by simulator.spin_summed_rdms under the state's qubit ordering.
+    """
+    n = tensors.n_orbitals
+    if one_rdm.shape != (n, n) or two_rdm.shape != (n,) * 4:
+        raise ValueError(
+            f"RDM shapes {one_rdm.shape}, {two_rdm.shape} do not match N={n}"
+        )
+    value = (np.sum(tensors.one_body * one_rdm)
+             + 0.5 * np.sum(tensors.two_body * two_rdm))
+    return tensors.e_nuc + float(value.real)
+
+
 def chemist_to_internal(eri: np.ndarray) -> np.ndarray:
     """(pq|rs) array -> internal <kl|mn> array."""
     return np.ascontiguousarray(np.transpose(eri, (0, 2, 1, 3)))

@@ -29,6 +29,7 @@ from .rotations import OrbitalRotation, PairingGraph, givens_factorize
 MAX_QUBITS = 16
 DENSE_EIG_LIMIT = 4096
 NORM_TOL = 1e-10
+RDM_TOL = 1e-10  # largest Hermiticity or trace gap a built RDM may show
 
 _H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 _S_MATRIX = np.array([[1.0, 0.0], [0.0, 1.0j]])
@@ -196,6 +197,81 @@ def circuit_from_text(text: str) -> Circuit:
 
 def _parity(values: np.ndarray, mask: int) -> np.ndarray:
     return np.bitwise_count(values & mask).astype(np.int64) & 1
+
+
+def _annihilated(amps: np.ndarray, removed: np.ndarray, sign_masks: np.ndarray) -> np.ndarray:
+    """Rows a_{modes} psi, one per bitmask in ``removed``, on the states they reach.
+
+    Row r holds <t| a_b a_a |psi> (or <t| a_a |psi> for a one-bit mask) for
+    a < b the set bits of removed[r], over the basis states t whose popcount
+    is a popcount of psi's support minus the number of bits removed.  Each
+    entry is psi[t | removed] times the Jordan-Wigner parity of t under
+    sign_masks[r]; it is zero where t already holds one of the removed bits.
+    """
+    idx = np.arange(len(amps), dtype=np.int64)
+    counts = np.bitwise_count(idx)
+    k = int(np.bitwise_count(removed[0]))
+    present = np.unique(counts[amps != 0])
+    targets = idx[np.isin(counts, present - k)]
+    free = (targets[None, :] & removed[:, None]) == 0
+    signs = 1.0 - 2.0 * _parity(targets[None, :], sign_masks[:, None])
+    return np.where(free, signs * amps[targets[None, :] | removed[:, None]], 0.0)
+
+
+def spin_summed_rdms(
+    state: Statevector, ordering: str = "interleaved"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Spin-summed 1- and 2-RDM of the state under the given qubit ordering.
+
+    D[k,l] = sum_s <a+_ks a_ls> and
+    G[k,l,m,n] = sum_{s1,s2} <a+_{k s1} a+_{l s2} a_{n s2} a_{m s1}>,
+    so <H> = e_nuc + sum h*D + 1/2 sum g*G in the IntegralTensors
+    convention (see integrals.rdm_expectation).  The spin-orbital 2-RDM
+    comes from one Gram matrix of the vectors a_b a_a psi over pairs a < b,
+    expanded by antisymmetry.  No particle number is assumed: the vectors
+    span every popcount of psi's support, so any state is exact.  The traces
+    are checked against <N> and <N(N-1)> before returning.
+    """
+    check_ordering(ordering)
+    n_qubits = state.n_qubits
+    if n_qubits % 2:
+        raise ValueError(f"state has {n_qubits} qubits, expected two per orbital")
+    n = n_qubits // 2
+    amps = state.amplitudes
+    bits = np.int64(1) << np.arange(n_qubits, dtype=np.int64)
+    singles = _annihilated(amps, bits, bits - 1)
+    one = np.conj(singles) @ singles.T  # <a+_p a_q>
+    a, b = np.triu_indices(n_qubits, 1)
+    pairs = _annihilated(amps, bits[a] | bits[b], (bits[a] - 1) ^ (bits[b] - 1))
+    block = np.conj(pairs) @ pairs.T  # <a+_{a_i} a+_{b_i} a_{b_j} a_{a_j}>
+    two = np.zeros((n_qubits,) * 4, dtype=complex)
+    ai, bi = a[:, None], b[:, None]
+    two[ai, bi, a, b] = block
+    two[bi, ai, a, b] = -block
+    two[ai, bi, b, a] = -block
+    two[bi, ai, b, a] = block
+    so = np.array([[spin_orbital_index(k, s, n, ordering) for s in (0, 1)]
+                   for k in range(n)])
+    one_rdm = sum(one[np.ix_(so[:, s], so[:, s])] for s in (0, 1))
+    two_rdm = sum(two[np.ix_(so[:, s1], so[:, s2], so[:, s1], so[:, s2])]
+                  for s1 in (0, 1) for s2 in (0, 1))
+    _check_rdms(state, one_rdm, two_rdm)
+    return one_rdm, two_rdm
+
+
+def _check_rdms(state: Statevector, one_rdm: np.ndarray, two_rdm: np.ndarray) -> None:
+    """Raise unless D is Hermitian, tr D = <N> and sum_kl G[k,l,k,l] = <N(N-1)>."""
+    probs = state.probabilities()
+    counts = np.bitwise_count(np.arange(len(probs), dtype=np.int64)).astype(float)
+    gaps = {
+        "1-RDM Hermiticity": float(np.max(np.abs(one_rdm - one_rdm.conj().T))),
+        "1-RDM trace vs <N>": abs(np.trace(one_rdm) - probs @ counts),
+        "2-RDM trace vs <N(N-1)>": abs(np.einsum("klkl->", two_rdm)
+                                       - probs @ (counts * (counts - 1))),
+    }
+    for name, gap in gaps.items():
+        if gap > RDM_TOL:
+            raise ValueError(f"{name} gap {gap:.3e} exceeds {RDM_TOL:g}")
 
 
 def _apply_single_excitation(

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from hcbmeasure.cli import main
-from hcbmeasure.experiments import COMMANDS, cmd_decompose, config_from_dict
+from hcbmeasure.experiments import COMMANDS, cmd_decompose, config_from_dict, load_config
 
 H4_LINE = {
     "system": {"shape": "line", "n_atoms": 4, "spacing": 1.5},
@@ -89,6 +89,56 @@ def test_batch_decompose_rejects_too_many_explicit_graphs(tmp_path):
     })
     with pytest.raises(ValueError, match="only 3 exist"):
         cmd_decompose(config)
+
+
+def test_batch_decompose_is_byte_identical_across_worker_counts(tmp_path):
+    files = []
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}"
+        cmd_decompose(config_from_dict({
+            "system": {"n_atoms": 4},
+            "batch": {"count": 2, "random_rotations": 2},
+            "workers": workers,
+            "output_dir": str(out),
+        }))
+        files.append({name: (out / name).read_bytes()
+                      for name in ("batch.csv", "batch_summary.json")})
+    assert files[0] == files[1]
+
+
+def test_yaml_exponent_without_point_is_a_float(tmp_path, capsys):
+    """YAML 1.1 reads 1e-3 as a string; the float field still accepts it."""
+    config = tmp_path / "eigen.yaml"
+    config.write_text(f"epsilon: 1e-3\noutput_dir: {tmp_path / 'out'}\n")
+    assert load_config(config).epsilon == 1e-3
+    assert main(["eigen", "--config", str(config)]) == 0
+    assert json.loads(capsys.readouterr().out)["n_qubits"] == 8
+
+
+@pytest.mark.parametrize("key,value,expected", [
+    ("repetitions", "5", "int"),
+    ("repetitions", True, "int"),
+    ("epsilon", "small", "float"),
+])
+def test_config_rejects_values_of_the_wrong_type(key, value, expected):
+    with pytest.raises(ValueError, match=f"{key!r} has value {value!r}.*expected {expected}"):
+        config_from_dict({key: value})
+
+
+@pytest.mark.parametrize("key", ["epsilon", "prune_threshold"])
+def test_config_rejects_nan_thresholds(key):
+    with pytest.raises(ValueError, match=key):
+        config_from_dict({key: "nan"})
+
+
+def test_config_checks_section_values(tmp_path, capsys):
+    config = tmp_path / "bad.yaml"
+    config.write_text("rotations: {graphs: '0-1,2-3'}\n")
+    assert main(["depth", "--config", str(config)]) == 1
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert "'rotations.graphs'" in message and "list of str" in message
+    with pytest.raises(ValueError, match="'system.n_atoms'.*expected int"):
+        config_from_dict({"system": {"n_atoms": 4.0}})
 
 
 def test_cli_prints_summary_and_exits_0(tmp_path, capsys):

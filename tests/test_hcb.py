@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hcbmeasure.encoding import build_qubit_hamiltonian
+from hcbmeasure.encoding import ORDERINGS, build_qubit_hamiltonian
 from hcbmeasure.hcb import (
     extract_hcb,
     hcb_operator,
@@ -12,14 +14,20 @@ from hcbmeasure.hcb import (
     records_to_csv,
     run_protocol,
 )
-from hcbmeasure.integrals import IntegralTensors
+from hcbmeasure.integrals import IntegralTensors, rdm_expectation
 from hcbmeasure.rotations import (
     graph_rotation,
     identity_rotation,
     random_orthogonal_rotation,
     rotate_integrals,
 )
-from hcbmeasure.simulator import Statevector, expectation
+from hcbmeasure.simulator import (
+    Statevector,
+    _check_rdms,
+    expectation,
+    ground_state,
+    spin_summed_rdms,
+)
 
 
 def _random_state(n_qubits, seed):
@@ -210,9 +218,8 @@ def test_protocol_input_validation(h2_tensors, h2_ground):
         run_protocol(h2_tensors, [identity_rotation(2)], bad_state)
 
 
-@pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
-def test_small_random_rotations_reconstruct(n, seed):
-    """Telescoping holds for random tensors under random rotation sets."""
+def _random_tensors(n, seed, e_nuc=0.0):
+    """Random real tensors with the full 8-fold two-body symmetry."""
     rng = np.random.default_rng(seed)
     h = rng.normal(size=(n, n))
     h = (h + h.T) / 2
@@ -220,7 +227,13 @@ def test_small_random_rotations_reconstruct(n, seed):
     chem = chem + chem.transpose(1, 0, 2, 3)
     chem = chem + chem.transpose(0, 1, 3, 2)
     chem = chem + chem.transpose(2, 3, 0, 1)
-    tensors = IntegralTensors(n, h, np.einsum("ijkl->ikjl", chem))
+    return IntegralTensors(n, h, np.einsum("ijkl->ikjl", chem), e_nuc)
+
+
+@pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
+def test_small_random_rotations_reconstruct(n, seed):
+    """Telescoping holds for random tensors under random rotation sets."""
+    tensors = _random_tensors(n, seed)
     rotations = [random_orthogonal_rotation(n, seed=seed * 10 + k)
                  for k in range(3)]
     state = _random_state(2 * n, seed)
@@ -230,3 +243,72 @@ def test_small_random_rotations_reconstruct(n, seed):
     for record in records:
         assert abs(record.cumulative + record.residual_expectation
                    - exact) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the RDM contraction against the Pauli path, which stays the oracle
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+@pytest.mark.parametrize("system", ["h2", "h4", "h6"])
+def test_rdm_contraction_matches_pauli_path_on_ground_states(
+        request, system, ordering):
+    tensors = request.getfixturevalue(f"{system}_tensors")
+    op = build_qubit_hamiltonian(tensors, ordering, 0.0)
+    _, state = ground_state(op, tensors.n_orbitals)
+    one_rdm, two_rdm = spin_summed_rdms(state, ordering)
+    assert abs(rdm_expectation(tensors, one_rdm, two_rdm)
+               - expectation(state, op)) < 1e-12
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+def test_rdm_contraction_matches_pauli_path_on_random_state(h4_tensors, ordering):
+    """The full-space random state mixes every particle number."""
+    state = _random_state(8, 5)
+    op = build_qubit_hamiltonian(h4_tensors, ordering, 0.0)
+    one_rdm, two_rdm = spin_summed_rdms(state, ordering)
+    assert abs(rdm_expectation(h4_tensors, one_rdm, two_rdm)
+               - expectation(state, op)) < 1e-12
+
+
+def test_protocol_residual_matches_pauli_path(h4_tensors, h4_rotations, h4_ground):
+    _, state = h4_ground
+    records = run_protocol(h4_tensors, h4_rotations, state)
+    residual = h4_tensors
+    for rotation, record in zip(h4_rotations, records):
+        layer = extract_hcb(rotate_integrals(residual, rotation))
+        residual = rotate_integrals(layer.residual, rotation.transpose())
+        pauli = expectation(state, build_qubit_hamiltonian(residual, "interleaved", 0.0))
+        assert abs(record.residual_expectation - pauli) < 1e-12
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
+       n_rotations=st.integers(1, 3), ordering=st.sampled_from(ORDERINGS))
+def test_telescoping_identity_property(n, seed, n_rotations, ordering):
+    tensors = _random_tensors(n, seed, e_nuc=0.5)
+    rotations = [random_orthogonal_rotation(n, seed=seed + k)
+                 for k in range(n_rotations)]
+    state = _random_state(2 * n, seed)
+    exact = expectation(state, build_qubit_hamiltonian(tensors, ordering, 0.0))
+    for record in run_protocol(tensors, rotations, state, ordering):
+        assert abs(record.cumulative + record.residual_expectation - exact) < 1e-10
+
+
+def test_rdm_checks_reject_corrupted_pairs(h4_ground):
+    _, state = h4_ground
+    one_rdm, two_rdm = spin_summed_rdms(state)
+    _check_rdms(state, one_rdm, two_rdm)
+    skewed = one_rdm.copy()
+    skewed[0, 1] += 1e-6
+    with pytest.raises(ValueError, match="1-RDM Hermiticity gap"):
+        _check_rdms(state, skewed, two_rdm)
+    with pytest.raises(ValueError, match="1-RDM trace vs <N> gap"):
+        _check_rdms(state, 1.01 * one_rdm, two_rdm)
+    with pytest.raises(ValueError, match="2-RDM trace"):
+        _check_rdms(state, one_rdm, 1.01 * two_rdm)
+
+
+def test_rdm_expectation_rejects_mismatched_shapes(h4_tensors):
+    with pytest.raises(ValueError, match="do not match N=4"):
+        rdm_expectation(h4_tensors, np.zeros((3, 3)), np.zeros((3,) * 4))
