@@ -16,13 +16,11 @@ from .grouping import (
     GroupingResult,
     ShotEstimate,
     depth_overhead,
-    diagonalizer,
     estimate_shots,
     lf_grouping,
     protocol_shot_estimate,
     rlf_grouping,
     si_grouping,
-    strings_commute,
 )
 from .groups import (
     CliffordCircuit,
@@ -48,7 +46,7 @@ from .integrals import (
     minimal_basis_integrals,
     rdm_expectation,
 )
-from .paulis import PauliString, PauliSum
+from .paulis import PauliString, PauliSum, anticommutation_matrix
 from .rotations import (
     OrbitalRotation,
     PairingGraph,
@@ -92,14 +90,14 @@ __all__ = [
     "rotate_integrals", "perfect_matchings", "distance_ranked_matchings",
     # qubit encoding / Pauli algebra
     "ORDERINGS", "spin_orbital_index", "jw_encode", "build_qubit_hamiltonian",
-    "PauliString", "PauliSum",
+    "PauliString", "PauliSum", "anticommutation_matrix",
     # paired-layer extraction and the iterative protocol
     "HCBDecomposition", "extract_hcb", "hcb_operator", "hcb_to_groups",
     "ProtocolRecord", "run_protocol", "protocol_error_curve", "records_to_csv",
     # commuting groups, baselines, shots, depth
     "CommutingGroup", "CliffordCircuit", "conjugate_pauli",
-    "diagonalizing_circuit", "diagonalized_members", "diagonalizer",
-    "GroupingResult", "strings_commute", "lf_grouping", "rlf_grouping",
+    "diagonalizing_circuit", "diagonalized_members",
+    "GroupingResult", "lf_grouping", "rlf_grouping",
     "si_grouping", "ShotEstimate", "estimate_shots", "protocol_shot_estimate",
     "depth_overhead",
     # simulation

@@ -19,36 +19,25 @@ import io
 import json
 from dataclasses import dataclass
 
-from .groups import (
-    CliffordCircuit,
-    CommutingGroup,
-    diagonalized_members,
-    diagonalizing_circuit,
-)
-from .paulis import COMMUTATION_MODES, PauliString, PauliSum, commutation_test
+import numpy as np
+
+from .groups import CliffordCircuit, CommutingGroup
+from .paulis import PauliString, PauliSum, anticommutation_matrix
 
 GROUPING_METHODS = ("LF", "RLF", "SI")
 
 
-def strings_commute(a: PauliString, b: PauliString, mode: str) -> bool:
-    """Commutation test under the named mode (see paulis.commutation_test)."""
-    return commutation_test(mode)(a, b)
-
-
 @dataclass(frozen=True)
 class GroupingResult:
-    """A partition of an operator's terms into commuting groups."""
+    """A partition of an operator's terms into fully commuting groups."""
 
     n_qubits: int
     method: str
-    mode: str
     groups: tuple[CommutingGroup, ...]
 
     def __post_init__(self) -> None:
         if self.method not in GROUPING_METHODS:
             raise ValueError(f"method must be one of {GROUPING_METHODS}")
-        if self.mode not in COMMUTATION_MODES:
-            raise ValueError(f"mode must be one of {COMMUTATION_MODES}")
 
     @property
     def group_count(self) -> int:
@@ -62,14 +51,13 @@ class GroupingResult:
         return total
 
     def check(self) -> None:
-        """Certify every group against the declared commutation mode."""
+        """Certify that every group fully commutes."""
         for group in self.groups:
-            group.check_commuting(self.mode)
+            group.check_commuting()
 
     def to_json(self) -> str:
         payload = {
             "method": self.method,
-            "mode": self.mode,
             "n_qubits": self.n_qubits,
             "groups": [
                 {
@@ -104,20 +92,36 @@ def _mask_mix(string: PauliString) -> int:
     return v ^ (v >> 31)
 
 
-def _conflict_sets(
-    terms: list[tuple[PauliString, float]], mode: str
-) -> list[set[int]]:
-    """Adjacency of the non-commutation graph over term indices."""
-    commute = commutation_test(mode)
-    n = len(terms)
-    adjacency: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        si = terms[i][0]
-        for j in range(i + 1, n):
-            if not commute(si, terms[j][0]):
-                adjacency[i].add(j)
-                adjacency[j].add(i)
-    return adjacency
+def _conflict_graph(op: PauliSum):
+    """Sorted terms, their anticommutation matrix and their _mask_mix keys."""
+    terms = op.terms()
+    if not terms:
+        raise ValueError("cannot group an empty operator")
+    conflict = anticommutation_matrix([s for s, _ in terms])
+    keys = np.array([_mask_mix(s) for s, _ in terms], dtype=np.uint64)
+    return terms, conflict, keys
+
+
+def _best(allowed: np.ndarray, score: np.ndarray, keys: np.ndarray) -> int:
+    """Allowed vertex of highest score; ties go to the smallest key."""
+    masked = np.where(allowed, score, -1)
+    top = np.flatnonzero(masked == masked.max())
+    return int(top[np.argmin(keys[top])])
+
+
+def _first_fit(conflict: np.ndarray, order) -> list[int]:
+    """Greedy coloring: each vertex in order takes the smallest color none of
+    its already-colored neighbours has, opening a new color when all do."""
+    blocked: list[np.ndarray] = []  # per color: adjacent to one of its vertices
+    colors = [-1] * len(conflict)
+    for vertex in order:
+        color = next((k for k, row in enumerate(blocked) if not row[vertex]), len(blocked))
+        if color == len(blocked):
+            blocked.append(conflict[vertex].copy())
+        else:
+            blocked[color] |= conflict[vertex]
+        colors[vertex] = color
+    return colors
 
 
 def _build_result(
@@ -125,7 +129,6 @@ def _build_result(
     terms: list[tuple[PauliString, float]],
     colors: list[int],
     method: str,
-    mode: str,
 ) -> GroupingResult:
     n_colors = max(colors) + 1 if colors else 0
     buckets: list[list[tuple[PauliString, float]]] = [[] for _ in range(n_colors)]
@@ -135,35 +138,24 @@ def _build_result(
         CommutingGroup(n_qubits, tuple(bucket), label=f"{method}-{k}")
         for k, bucket in enumerate(buckets)
     )
-    result = GroupingResult(n_qubits, method, mode, groups)
+    result = GroupingResult(n_qubits, method, groups)
     result.check()
     return result
 
 
-def lf_grouping(op: PauliSum, mode: str = "fully") -> GroupingResult:
+def lf_grouping(op: PauliSum) -> GroupingResult:
     """Greedy largest-first coloring of the non-commutation graph.
 
     Vertices (terms) are visited by degree descending, ties broken by the
     fixed mask hash; each takes the smallest color absent from its
     already-colored neighbours.
     """
-    terms = op.terms()
-    if not terms:
-        raise ValueError("cannot group an empty operator")
-    adjacency = _conflict_sets(terms, mode)
-    keys = [_mask_mix(s) for s, _ in terms]
-    order = sorted(range(len(terms)), key=lambda i: (-len(adjacency[i]), keys[i]))
-    colors = [-1] * len(terms)
-    for vertex in order:
-        used = {colors[u] for u in adjacency[vertex] if colors[u] >= 0}
-        color = 0
-        while color in used:
-            color += 1
-        colors[vertex] = color
-    return _build_result(op.n_qubits, terms, colors, "LF", mode)
+    terms, conflict, keys = _conflict_graph(op)
+    order = np.lexsort((keys, -conflict.sum(axis=1)))
+    return _build_result(op.n_qubits, terms, _first_fit(conflict, order), "LF")
 
 
-def rlf_grouping(op: PauliSum, mode: str = "fully") -> GroupingResult:
+def rlf_grouping(op: PauliSum) -> GroupingResult:
     """Recursive-largest-first coloring of the non-commutation graph.
 
     Builds one color class at a time: seed with the highest-degree
@@ -171,68 +163,41 @@ def rlf_grouping(op: PauliSum, mode: str = "fully") -> GroupingResult:
     neighbours among the vertices excluded from the class, until no
     admissible vertex remains.  Ties fall back to the fixed mask hash.
     """
-    terms = op.terms()
-    if not terms:
-        raise ValueError("cannot group an empty operator")
-    adjacency = _conflict_sets(terms, mode)
-    keys = [_mask_mix(s) for s, _ in terms]
+    terms, conflict, keys = _conflict_graph(op)
     n = len(terms)
-    colors = [-1] * n
-    uncolored = set(range(n))
+    colors = np.full(n, -1)
+    uncolored = np.ones(n, dtype=bool)
+    degree = conflict.sum(axis=1)  # neighbours among the uncolored
     color = 0
-    while uncolored:
-        seed = max(
-            uncolored, key=lambda v: (len(adjacency[v] & uncolored), -keys[v])
-        )
-        in_class = {seed}
-        excluded = adjacency[seed] & uncolored
-        candidates = uncolored - in_class - excluded
-        while candidates:
-            best = max(
-                candidates, key=lambda v: (len(adjacency[v] & excluded), -keys[v])
-            )
-            in_class.add(best)
-            excluded |= adjacency[best] & uncolored
-            candidates -= adjacency[best]
-            candidates.discard(best)
-        for v in in_class:
-            colors[v] = color
-        uncolored -= in_class
+    while uncolored.any():
+        seed = _best(uncolored, degree, keys)
+        in_class = [seed]
+        excluded = conflict[seed] & uncolored
+        candidates = uncolored & ~excluded
+        candidates[seed] = False
+        score = conflict[excluded].sum(axis=0)  # neighbours among the excluded
+        while candidates.any():
+            best = _best(candidates, score, keys)
+            in_class.append(best)
+            # best has no neighbour in the class, so its uncolored neighbours
+            # not yet excluded are candidates, and they become excluded
+            newly = conflict[best] & candidates
+            score += conflict[newly].sum(axis=0)
+            candidates &= ~newly
+            candidates[best] = False
+        colors[in_class] = color
+        uncolored[in_class] = False
+        degree -= conflict[in_class].sum(axis=0)
         color += 1
-    return _build_result(op.n_qubits, terms, colors, "RLF", mode)
+    return _build_result(op.n_qubits, terms, colors.tolist(), "RLF")
 
 
 def si_grouping(op: PauliSum) -> GroupingResult:
     """Sorted insertion: weight-ordered terms join the first fully
     commuting group, opening a new group when none accepts them."""
-    terms = op.terms()
-    if not terms:
-        raise ValueError("cannot group an empty operator")
+    terms, conflict, _ = _conflict_graph(op)
     order = sorted(range(len(terms)), key=lambda i: (-abs(terms[i][1]), i))
-    group_members: list[list[int]] = []
-    for idx in order:
-        string = terms[idx][0]
-        for members in group_members:
-            if all(string.commutes_with(terms[j][0]) for j in members):
-                members.append(idx)
-                break
-        else:
-            group_members.append([idx])
-    colors = [-1] * len(terms)
-    for color, members in enumerate(group_members):
-        for idx in members:
-            colors[idx] = color
-    return _build_result(op.n_qubits, terms, colors, "SI", "fully")
-
-
-def diagonalizer(group: CommutingGroup) -> CliffordCircuit:
-    """Clifford circuit conjugating every member to a diagonal string.
-
-    The circuit is certified member-by-member before it is returned.
-    """
-    circuit = diagonalizing_circuit(group)
-    diagonalized_members(group, circuit)
-    return circuit
+    return _build_result(op.n_qubits, terms, _first_fit(conflict, order), "SI")
 
 
 # ---------------------------------------------------------------------------

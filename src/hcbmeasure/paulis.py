@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 _PHASES = (1.0, 1.0j, -1.0, -1.0j)
 
@@ -89,40 +92,35 @@ class PauliString:
         return self.label() or "I"
 
     def commutes_with(self, other: "PauliString") -> bool:
-        """Full (not qubitwise) commutation."""
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("Pauli strings act on different qubit counts")
-        anti = (self.x_mask & other.z_mask).bit_count() + (
-            self.z_mask & other.x_mask
-        ).bit_count()
-        return anti % 2 == 0
-
-    def qubitwise_commutes_with(self, other: "PauliString") -> bool:
-        """Commutation qubit by qubit: shared support must carry equal letters."""
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("Pauli strings act on different qubit counts")
-        shared = self.support & other.support
-        return ((self.x_mask ^ other.x_mask) | (self.z_mask ^ other.z_mask)) & shared == 0
+        """Full (not qubitwise) commutation; see anticommutation_matrix."""
+        return not anticommutation_matrix([self, other])[0, 1]
 
     def sort_key(self) -> tuple[int, int]:
         return (self.x_mask, self.z_mask)
 
 
-COMMUTATION_MODES = ("qubitwise", "fully")
+def anticommutation_matrix(strings: Sequence[PauliString]) -> np.ndarray:
+    """Boolean matrix whose (i, j) entry is True when strings i and j anticommute.
 
-
-def commutation_test(mode: str):
-    """The pairwise commutation predicate of the named mode.
-
-    "qubitwise": at every qubit the letters are equal or one is identity.
-    "fully": the operator products ab and ba are equal.
-    Callers testing many pairs look the predicate up once and call it.
+    The entry is the parity of |x_i & z_j| + |z_i & x_j|, which is the
+    parity of the number of qubits where the two letters differ and neither
+    is the identity.  The masks are held in the smallest unsigned dtype that
+    fits n_qubits bits (at most 64).  The matrix is symmetric with a False
+    diagonal.
     """
-    if mode == "qubitwise":
-        return PauliString.qubitwise_commutes_with
-    if mode == "fully":
-        return PauliString.commutes_with
-    raise ValueError(f"mode must be one of {COMMUTATION_MODES}, got {mode!r}")
+    counts = {s.n_qubits for s in strings}
+    if len(counts) > 1:
+        raise ValueError("Pauli strings act on different qubit counts")
+    n_qubits = counts.pop() if counts else 1
+    if n_qubits > 64:
+        raise ValueError(f"anticommutation_matrix takes at most 64 qubits, got {n_qubits}")
+    dtype = np.min_scalar_type((1 << n_qubits) - 1)
+    x = np.array([s.x_mask for s in strings], dtype=dtype)
+    z = np.array([s.z_mask for s in strings], dtype=dtype)
+    # |a| + |b| and |a ^ b| have equal parity (a = x_i & z_j, b = z_i & x_j)
+    symplectic = x[:, None] & z
+    symplectic ^= z[:, None] & x
+    return (np.bitwise_count(symplectic) & 1).astype(bool)
 
 
 def multiply(a: PauliString, b: PauliString) -> tuple[PauliString, complex]:

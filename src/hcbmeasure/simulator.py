@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -627,8 +628,10 @@ def _sector_matrix(op: PauliSum, sector: np.ndarray, n_electrons: int) -> scipy.
 def ground_state(op: PauliSum, n_electrons: int) -> tuple[float, Statevector]:
     """Lowest eigenpair of op restricted to the n_electrons occupation sector.
 
-    Uses iterative (Lanczos-type) diagonalization above the dense cutoff and
-    verifies the eigenpair residual before returning.
+    Uses a dense solve for the lowest eigenpair only up to the dense cutoff
+    (ARPACK cannot take 1-dimensional sectors), iterative (Lanczos-type)
+    diagonalization above it, and verifies the eigenpair residual before
+    returning.
     """
     n_qubits = op.n_qubits
     if not 0 <= n_electrons <= n_qubits:
@@ -639,8 +642,7 @@ def ground_state(op: PauliSum, n_electrons: int) -> tuple[float, Statevector]:
     if herm_gap > 1e-9:
         raise ValueError(f"operator is not Hermitian on the sector (gap {herm_gap:.3e})")
     if len(sector) <= DENSE_EIG_LIMIT:
-        dense = mat.toarray()
-        vals, vecs = np.linalg.eigh(dense)
+        vals, vecs = scipy.linalg.eigh(mat.toarray(), subset_by_index=[0, 0])
         energy, vec = float(vals[0]), vecs[:, 0]
     else:
         vals, vecs = scipy.sparse.linalg.eigsh(mat, k=1, which="SA", maxiter=5000)

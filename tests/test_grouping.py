@@ -1,5 +1,6 @@
 """Baseline grouping heuristics, shot budgets, and circuit-depth accounting."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -7,14 +8,13 @@ import pytest
 
 from hcbmeasure.grouping import (
     depth_overhead,
-    diagonalizer,
     estimate_shots,
     lf_grouping,
     member_shot_count,
     rlf_grouping,
     si_grouping,
 )
-from hcbmeasure.groups import diagonalized_members
+from hcbmeasure.groups import diagonalized_members, diagonalizing_circuit
 from hcbmeasure.paulis import PauliString, PauliSum
 from hcbmeasure.rotations import graph_rotation
 from hcbmeasure.simulator import Circuit, Statevector, rotation_circuit
@@ -65,6 +65,41 @@ def test_h4_baseline_group_counts(h4_operator):
     assert si_grouping(h4_operator).group_count == 19
 
 
+def _membership_digest(result):
+    data = [
+        (g.label, g.kind, [(s.x_mask, s.z_mask, c.hex()) for s, c in g.members])
+        for g in result.groups
+    ]
+    return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+# sha256 of every group's label, kind and members (masks, coefficient bits):
+# a change to the visiting order or the tie-breaks moves members between
+# groups even where the counts survive
+PINNED_MEMBERSHIPS = [
+    ("h4_operator", lf_grouping, 29,
+     "46cdb103f3df8174bcaac7d659f56884a0d172cb616945f46a347cc3ca5268db"),
+    ("h4_operator", rlf_grouping, 19,
+     "ac6d3693a98fa97f3eefe955e19dddb9ea9b28d781ce0a72b02cc327828a5e8b"),
+    ("h4_operator", si_grouping, 19,
+     "1b123ac9677dbb38278fc436cee4c7ef15ec8ee0f975bc483e16f550b1c17eeb"),
+    ("h6_operator", lf_grouping, 101,
+     "5eb52947dfc39eb8e82c407d41240e4a325c81327d20b7a6cfb9e6720f6bf4a5"),
+    ("h6_operator", rlf_grouping, 62,
+     "ad78212e71cb931a1e617f6b528d6fe93593e458df21ad776b1aa77ad7bc6a9c"),
+    ("h6_operator", si_grouping, 70,
+     "ce0ffc9d18fe4e94d71fe5b90258d9190a8e0c8e00117414e6a17ce8002747df"),
+]
+
+
+@pytest.mark.parametrize("system,grouping,count,digest", PINNED_MEMBERSHIPS,
+                         ids=[f"{s[:2]}-{g.__name__}" for s, g, _, _ in PINNED_MEMBERSHIPS])
+def test_memberships_are_pinned(request, system, grouping, count, digest):
+    result = grouping(request.getfixturevalue(system))
+    assert result.group_count == count
+    assert _membership_digest(result) == digest
+
+
 def test_partitions_rebuild_operator(h4_operator):
     for result in (lf_grouping(h4_operator), rlf_grouping(h4_operator),
                    si_grouping(h4_operator)):
@@ -90,16 +125,10 @@ def test_rlf_no_worse_than_lf_on_random_operators():
     assert wins >= 0.9 * trials
 
 
-def test_qubitwise_mode_gives_more_groups(h2_operator):
-    fully = lf_grouping(h2_operator, mode="fully").group_count
-    qubitwise = lf_grouping(h2_operator, mode="qubitwise").group_count
-    assert qubitwise >= fully
-
-
 def test_diagonalizer_certified(h4_operator):
     result = si_grouping(h4_operator)
     for group in result.groups[:5]:
-        circuit = diagonalizer(group)
+        circuit = diagonalizing_circuit(group)
         for image, _coeff in diagonalized_members(group, circuit):
             assert image.is_diagonal()
 

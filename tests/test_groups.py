@@ -141,6 +141,11 @@ def test_non_commuting_group_rejected():
         diagonalizing_circuit(group)
     with pytest.raises(ValueError, match="commute"):
         group.check_commuting()
+    group = CommutingGroup(2, tuple(
+        (PauliString.from_label(2, label), 1.0) for label in ("Z0", "Z1", "X0", "X1")
+    ), label="g")
+    with pytest.raises(ValueError, match="^group 'g': Z0 and X0 do not commute$"):
+        group.check_commuting()
 
 
 def test_group_kind_validation():

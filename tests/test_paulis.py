@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hcbmeasure.grouping import strings_commute
-from hcbmeasure.paulis import PauliString, PauliSum, multiply
+from hcbmeasure.paulis import PauliString, PauliSum, anticommutation_matrix, multiply
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -93,32 +94,63 @@ def test_multiply_associative():
 
 
 def test_commutation_modes():
+    """Commutation is full, not qubitwise: XX and ZZ commute."""
     xx = PauliString.from_label(2, "X0 X1")
     zz = PauliString.from_label(2, "Z0 Z1")
-    assert strings_commute(xx, zz, "fully")
-    assert not strings_commute(xx, zz, "qubitwise")
     x0 = PauliString.from_label(2, "X0")
     z0 = PauliString.from_label(2, "Z0")
-    assert not strings_commute(x0, z0, "fully")
-    assert not strings_commute(x0, z0, "qubitwise")
-    with pytest.raises(ValueError, match="mode"):
-        strings_commute(x0, z0, "sideways")
+    assert xx.commutes_with(zz)
+    assert not x0.commutes_with(z0)
+    assert anticommutation_matrix([xx, zz, x0, z0]).tolist() == [
+        [False, False, False, True],
+        [False, False, True, False],
+        [False, True, False, True],
+        [True, False, True, False],
+    ]
 
 
 def test_commutation_exhaustive_against_dense():
     strings = [PauliString(3, x, z) for x in range(8) for z in range(8)]
-    for a in strings:
-        for b in strings:
-            da, db = _dense(a), _dense(b)
-            dense_commutes = np.max(np.abs(da @ db - db @ da)) < 1e-12
-            assert a.commutes_with(b) == dense_commutes
-            assert strings_commute(a, b, "fully") == dense_commutes
-            qubitwise = all(
-                a.letter(k) == "I" or b.letter(k) == "I"
-                or a.letter(k) == b.letter(k)
-                for k in range(3))
-            assert a.qubitwise_commutes_with(b) == qubitwise
-            assert strings_commute(a, b, "qubitwise") == qubitwise
+    dense = [_dense(s) for s in strings]
+    expected = np.array(
+        [[np.max(np.abs(da @ db - db @ da)) > 1e-12 for db in dense] for da in dense])
+    np.testing.assert_array_equal(anticommutation_matrix(strings), expected)
+    for i, a in enumerate(strings):
+        for j, b in enumerate(strings):
+            assert a.commutes_with(b) == (not expected[i, j])
+
+
+@st.composite
+def _string_lists(draw):
+    n_qubits = draw(st.integers(1, 16))
+    masks = st.integers(0, (1 << n_qubits) - 1)
+    pairs = draw(st.lists(st.tuples(masks, masks), max_size=12))
+    return [PauliString(n_qubits, x, z) for x, z in pairs]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(strings=_string_lists())
+def test_anticommutation_matrix_is_the_popcount_parity(strings):
+    anti = anticommutation_matrix(strings)
+    parity = [
+        [((a.x_mask & b.z_mask).bit_count() + (a.z_mask & b.x_mask).bit_count()) % 2 == 1
+         for b in strings]
+        for a in strings
+    ]
+    assert anti.dtype == bool
+    assert anti.shape == (len(strings), len(strings))
+    assert anti.tolist() == parity
+    assert (anti == anti.T).all()
+    assert not anti.diagonal().any()
+
+
+def test_anticommutation_matrix_rejects_mixed_and_wide_strings():
+    with pytest.raises(ValueError, match="different qubit counts"):
+        anticommutation_matrix([PauliString(2), PauliString(3)])
+    with pytest.raises(ValueError, match="at most 64 qubits"):
+        anticommutation_matrix([PauliString(65, 1 << 64, 0)])
+    top = [PauliString(64, 1 << 63, 0), PauliString(64, 0, 1 << 63)]
+    assert anticommutation_matrix(top).tolist() == [[False, True], [True, False]]
 
 
 def test_pauli_sum_merges_and_pops_zero():
