@@ -35,7 +35,6 @@ from .hcb import (
     extract_hcb,
     hcb_operator,
     hcb_to_groups,
-    protocol_error_curve,
     records_to_csv,
     run_protocol,
 )
@@ -93,7 +92,7 @@ __all__ = [
     "PauliString", "PauliSum", "anticommutation_matrix",
     # paired-layer extraction and the iterative protocol
     "HCBDecomposition", "extract_hcb", "hcb_operator", "hcb_to_groups",
-    "ProtocolRecord", "run_protocol", "protocol_error_curve", "records_to_csv",
+    "ProtocolRecord", "run_protocol", "records_to_csv",
     # commuting groups, baselines, shots, depth
     "CommutingGroup", "CliffordCircuit", "conjugate_pauli",
     "diagonalizing_circuit", "diagonalized_members",

@@ -296,16 +296,6 @@ def run_protocol(
     return records
 
 
-def protocol_error_curve(
-    records: list[ProtocolRecord], exact: float
-) -> list[tuple[int, float]]:
-    """Absolute approximation error after each step, starting at step 0."""
-    curve = [(0, abs(exact))]
-    for record in records:
-        curve.append((record.step, record.abs_error))
-    return curve
-
-
 def records_to_csv(records: list[ProtocolRecord]) -> str:
     """CSV table: one row per protocol step."""
     out = io.StringIO()

@@ -69,13 +69,6 @@ class IntegralTensors:
             self.basis,
         )
 
-    def max_abs_difference(self, other: "IntegralTensors") -> float:
-        return max(
-            float(np.max(np.abs(self.one_body - other.one_body))),
-            float(np.max(np.abs(self.two_body - other.two_body))),
-            abs(self.e_nuc - other.e_nuc),
-        )
-
 
 def rdm_expectation(
     tensors: IntegralTensors, one_rdm: np.ndarray, two_rdm: np.ndarray

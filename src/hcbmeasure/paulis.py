@@ -214,15 +214,6 @@ class PauliSum:
                 out.add_term(s, c)
         return out
 
-    def dropped_weight(self, threshold: float = 1e-12) -> float:
-        """Total absolute coefficient weight prune(threshold) would discard.
-
-        |<self> - <prune(threshold)>| on any state is bounded by this value.
-        """
-        if threshold < 0:
-            raise ValueError("prune threshold must be >= 0")
-        return float(sum(abs(c) for c in self._terms.values() if abs(c) <= threshold))
-
     def to_text(self) -> str:
         """One term per line: signed coefficient then letter tokens."""
         lines = [f"# n_qubits={self.n_qubits}"]

@@ -139,63 +139,6 @@ class Circuit:
         self.gates.append(gate)
 
 
-_GATE_TOKENS = {
-    "UR": PairRotationGate,
-    "UG": PairGivensGate,
-}
-
-
-def circuit_to_text(circuit: Circuit) -> str:
-    """One gate per line: ``UR p q theta`` / ``UG p q phi`` / ``X i`` /
-    ``Z i``, with a header recording size and layout."""
-    lines = [f"# n_orbitals={circuit.n_orbitals} ordering={circuit.ordering}"]
-    for gate in circuit.gates:
-        if isinstance(gate, XGate):
-            lines.append(f"X {gate.qubit}")
-        elif isinstance(gate, ZGate):
-            lines.append(f"Z {gate.qubit}")
-        elif isinstance(gate, PairRotationGate):
-            lines.append(f"UR {gate.p} {gate.q} {gate.theta!r}")
-        elif isinstance(gate, PairGivensGate):
-            lines.append(f"UG {gate.p} {gate.q} {gate.phi!r}")
-        else:
-            raise ValueError(f"gate {gate!r} has no text serialization")
-    return "\n".join(lines) + "\n"
-
-
-def circuit_from_text(text: str) -> Circuit:
-    """Parse the :func:`circuit_to_text` format (exact round-trip)."""
-    import re as _re
-
-    circuit: Circuit | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            match = _re.search(r"n_orbitals\s*=\s*(\d+)\s+ordering\s*=\s*(\S+)", line)
-            if match:
-                circuit = Circuit(int(match.group(1)), match.group(2))
-            continue
-        if circuit is None:
-            raise ValueError("circuit text is missing the '# n_orbitals=...' header")
-        tokens = line.split()
-        try:
-            if tokens[0] in ("X", "Z") and len(tokens) == 2:
-                cls = XGate if tokens[0] == "X" else ZGate
-                circuit.add(cls(int(tokens[1])))
-            elif tokens[0] in _GATE_TOKENS and len(tokens) == 4:
-                cls = _GATE_TOKENS[tokens[0]]
-                circuit.add(cls(int(tokens[1]), int(tokens[2]), float(tokens[3])))
-            else:
-                raise ValueError("unknown gate line")
-        except (ValueError, IndexError) as exc:
-            raise ValueError(f"line {lineno}: cannot parse gate {line!r}") from exc
-    if circuit is None:
-        raise ValueError("circuit text is missing the '# n_orbitals=...' header")
-    return circuit
-
-
 def _parity(values: np.ndarray, mask: int) -> np.ndarray:
     return np.bitwise_count(values & mask).astype(np.int64) & 1
 
@@ -520,14 +463,13 @@ def optimize_ansatz(
     Multi-start local minimization: ``restarts`` L-BFGS-B runs from seeded
     uniform starting points in [-spread, spread], keeping the best optimum.
     Deterministic in ``seed``.  Returns (best parameters, best energy).
+    Each evaluation is one sparse matvec on the ansatz's particle-number
+    sector (see :func:`_sector_cost`).
     """
     import scipy.optimize
 
     rng = np.random.default_rng(seed)
-
-    def cost(params: np.ndarray) -> float:
-        return expectation(ansatz.prepare(params), op)
-
+    cost = _sector_cost(ansatz, op)
     best_x: np.ndarray | None = None
     best_f = np.inf
     for _ in range(max(1, restarts)):
@@ -540,8 +482,43 @@ def optimize_ansatz(
     return best_x, best_f
 
 
+def _sector_cost(ansatz: PairAnsatz, op: PauliSum):
+    """params -> <psi(params)|op|psi(params)> on the ansatz's N-electron sector.
+
+    The ansatz conserves particle number, so the value is <v|M|v> with M
+    op's sector matrix (built here once, by the builder ground_state uses)
+    and v the prepared amplitudes on the sector.  A prepared state with any
+    nonzero amplitude outside the sector raises instead of being projected.
+    """
+    n_qubits = 2 * ansatz.n_orbitals
+    if op.n_qubits != n_qubits:
+        raise ValueError(
+            f"operator acts on {op.n_qubits} qubits, the ansatz prepares {n_qubits}")
+    sector, mat = _sector_operator(op, ansatz.n_electrons)
+    outside = np.ones(1 << n_qubits, dtype=bool)
+    outside[sector] = False
+
+    def cost(params: np.ndarray) -> float:
+        amps = ansatz.prepare(params).amplitudes
+        if np.any(amps[outside]):
+            raise ValueError(
+                f"prepared state leaves the {ansatz.n_electrons}-electron sector")
+        v = amps[sector]
+        return _real_value(np.vdot(v, mat @ v))
+
+    return cost
+
+
 # ---------------------------------------------------------------------------
 # expectations
+
+
+def _real_value(total: complex) -> float:
+    """The real part of an expectation of a Hermitian operator; raises on a
+    larger imaginary residue than rounding leaves."""
+    if abs(total.imag) > 1e-8:
+        raise ValueError(f"expectation has imaginary residue {total.imag:.3e}")
+    return float(total.real)
 
 
 def _y_phase(x_mask: int, z_mask: int) -> complex:
@@ -585,18 +562,28 @@ def expectation(state: Statevector, op: PauliSum) -> float:
         for z_mask, phased in entries:
             signs = 1.0 - 2.0 * _parity(idx, z_mask)
             total += phased * np.dot(signs, overlap)
-    if abs(total.imag) > 1e-8:
-        raise ValueError(f"expectation has imaginary residue {total.imag:.3e}")
-    return float(total.real)
+    return _real_value(total)
 
 
 # ---------------------------------------------------------------------------
 # ground states
 
 
-def _sector_states(n_qubits: int, n_electrons: int) -> np.ndarray:
+def _sector_operator(
+    op: PauliSum, n_electrons: int
+) -> tuple[np.ndarray, scipy.sparse.csr_matrix]:
+    """The basis states with n_electrons set bits, ascending, and op's matrix
+    on them; raises unless the count fits and the matrix is Hermitian."""
+    n_qubits = op.n_qubits
+    if not 0 <= n_electrons <= n_qubits:
+        raise ValueError(f"n_electrons {n_electrons} out of range for {n_qubits} qubits")
     idx = np.arange(1 << n_qubits, dtype=np.int64)
-    return idx[np.bitwise_count(idx) == n_electrons]
+    sector = idx[np.bitwise_count(idx) == n_electrons]
+    mat = _sector_matrix(op, sector, n_electrons)
+    herm_gap = abs(mat - mat.getH()).max()
+    if herm_gap > 1e-9:
+        raise ValueError(f"operator is not Hermitian on the sector (gap {herm_gap:.3e})")
+    return sector, mat
 
 
 def _sector_matrix(op: PauliSum, sector: np.ndarray, n_electrons: int) -> scipy.sparse.csr_matrix:
@@ -631,28 +618,31 @@ def ground_state(op: PauliSum, n_electrons: int) -> tuple[float, Statevector]:
     Uses a dense solve for the lowest eigenpair only up to the dense cutoff
     (ARPACK cannot take 1-dimensional sectors), iterative (Lanczos-type)
     diagonalization above it, and verifies the eigenpair residual before
-    returning.
+    returning.  Lanczos starts from a fixed generic (seeded normal) vector,
+    so the result is the same in every process.
     """
     n_qubits = op.n_qubits
-    if not 0 <= n_electrons <= n_qubits:
-        raise ValueError(f"n_electrons {n_electrons} out of range for {n_qubits} qubits")
-    sector = _sector_states(n_qubits, n_electrons)
-    mat = _sector_matrix(op, sector, n_electrons)
-    herm_gap = abs(mat - mat.getH()).max()
-    if herm_gap > 1e-9:
-        raise ValueError(f"operator is not Hermitian on the sector (gap {herm_gap:.3e})")
-    if len(sector) <= DENSE_EIG_LIMIT:
-        vals, vecs = scipy.linalg.eigh(mat.toarray(), subset_by_index=[0, 0])
-        energy, vec = float(vals[0]), vecs[:, 0]
-    else:
-        vals, vecs = scipy.sparse.linalg.eigsh(mat, k=1, which="SA", maxiter=5000)
-        energy, vec = float(vals[0]), vecs[:, 0]
-    residual = float(np.linalg.norm(mat @ vec - energy * vec))
-    if residual > 1e-8:
-        raise ValueError(f"eigenpair residual {residual:.3e} too large")
+    sector, mat = _sector_operator(op, n_electrons)
+    energy, vec = _lowest_eigenpair(mat)
     full = np.zeros(1 << n_qubits, dtype=complex)
     full[sector] = vec
     return energy, Statevector(n_qubits, full)
+
+
+def _lowest_eigenpair(mat: scipy.sparse.csr_matrix) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of a Hermitian sparse matrix, residual-checked."""
+    dim = mat.shape[0]
+    if dim <= DENSE_EIG_LIMIT:
+        vals, vecs = scipy.linalg.eigh(mat.toarray(), subset_by_index=[0, 0])
+    else:
+        # a uniform start can be orthogonal to a symmetric ground state
+        start = np.random.default_rng(1).normal(size=dim)
+        vals, vecs = scipy.sparse.linalg.eigsh(mat, k=1, which="SA", maxiter=5000, v0=start)
+    energy, vec = float(vals[0]), vecs[:, 0]
+    residual = float(np.linalg.norm(mat @ vec - energy * vec))
+    if residual > 1e-8:
+        raise ValueError(f"eigenpair residual {residual:.3e} too large")
+    return energy, vec
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,13 @@ from hcbmeasure.simulator import ground_state
 H2_FCI_ENERGY = -1.137270174661
 
 
+def tensor_gap(a, b) -> float:
+    """Largest absolute difference between two IntegralTensors."""
+    return max(float(np.max(np.abs(a.one_body - b.one_body))),
+               float(np.max(np.abs(a.two_body - b.two_body))),
+               abs(a.e_nuc - b.e_nuc))
+
+
 @pytest.fixture(scope="session")
 def h2_geometry():
     return build_geometry(2, 0.7414, "line")

@@ -10,7 +10,6 @@ from hcbmeasure.hcb import (
     extract_hcb,
     hcb_operator,
     hcb_to_groups,
-    protocol_error_curve,
     records_to_csv,
     run_protocol,
 )
@@ -24,8 +23,10 @@ from hcbmeasure.rotations import (
 from hcbmeasure.simulator import (
     Statevector,
     _check_rdms,
+    apply_circuit,
     expectation,
     ground_state,
+    rotation_circuit,
     spin_summed_rdms,
 )
 
@@ -186,15 +187,15 @@ def test_protocol_order_permutation_keeps_identity(
 
 
 def test_error_curve_shape(h4_tensors, h4_rotations, h4_ground):
-    exact, state = h4_ground
+    """The error curve decompose writes has one row per step with |residual|."""
+    _, state = h4_ground
     records = run_protocol(h4_tensors, h4_rotations, state)
-    curve = protocol_error_curve(records, exact)
-    assert curve[0] == (0, abs(exact))
-    for (step, err), record in zip(curve[1:], records):
-        assert step == record.step
-        assert err == record.abs_error
-        assert err == pytest.approx(abs(record.residual_expectation),
-                                    abs=1e-9)
+    rows = [line.split(",") for line in records_to_csv(records).splitlines()[1:]]
+    assert len(rows) == len(records)
+    for row, record in zip(rows, records):
+        assert int(row[0]) == record.step
+        assert record.abs_error == abs(record.residual_expectation)
+        assert float(row[-1]) == pytest.approx(record.abs_error, rel=1e-11)
 
 
 def test_records_csv_header(h2_tensors, h2_ground):
@@ -293,6 +294,21 @@ def test_telescoping_identity_property(n, seed, n_rotations, ordering):
     exact = expectation(state, build_qubit_hamiltonian(tensors, ordering, 0.0))
     for record in run_protocol(tensors, rotations, state, ordering):
         assert abs(record.cumulative + record.residual_expectation - exact) < 1e-10
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
+       ordering=st.sampled_from(ORDERINGS))
+def test_rdm_energy_is_rotation_invariant(n, seed, ordering):
+    """The rotated tensors on the rotated state's RDMs give the same energy."""
+    tensors = _random_tensors(n, seed, e_nuc=0.5)
+    rotation = random_orthogonal_rotation(n, seed=seed)
+    state = _random_state(2 * n, seed)
+    rotated = apply_circuit(state, rotation_circuit(rotation, n, ordering))
+    before = rdm_expectation(tensors, *spin_summed_rdms(state, ordering))
+    after = rdm_expectation(rotate_integrals(tensors, rotation),
+                            *spin_summed_rdms(rotated, ordering))
+    assert abs(after - before) < 1e-10
 
 
 def test_rdm_checks_reject_corrupted_pairs(h4_ground):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.linalg import expm
 
 from hcbmeasure.encoding import build_qubit_hamiltonian, spin_orbital_index
@@ -9,18 +10,20 @@ from hcbmeasure.grouping import si_grouping
 from hcbmeasure.groups import CommutingGroup
 from hcbmeasure.integrals import IntegralTensors
 from hcbmeasure.paulis import PauliString, PauliSum
-from hcbmeasure.rotations import givens_matrix, rotate_integrals
+from hcbmeasure.rotations import distance_ranked_matchings, givens_matrix, rotate_integrals
 from hcbmeasure.simulator import (
+    DENSE_EIG_LIMIT,
     MAX_QUBITS,
     Circuit,
+    PairAnsatz,
     PairGivensGate,
     PairRotationGate,
     Statevector,
     XGate,
+    _lowest_eigenpair,
+    _sector_cost,
     apply_circuit,
     build_pair_ansatz,
-    circuit_from_text,
-    circuit_to_text,
     circuit_unitary,
     expectation,
     finite_sample_experiment,
@@ -171,6 +174,75 @@ def test_two_graph_ansatz_below_five_millihartree(h4_operator, h4_graphs,
     assert energy - exact < 5e-3
 
 
+class _LeakyAnsatz(PairAnsatz):
+    """A pair ansatz that mixes a little vacuum into every prepared state."""
+
+    def prepare(self, params):
+        amps = super().prepare(params).amplitudes.copy()
+        amps[0] = 1e-3
+        return Statevector(2 * self.n_orbitals, amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("ordering", ["interleaved", "reordered"])
+def test_sector_cost_matches_expectation(ordering, h4_tensors, h4_graphs,
+                                         h6_tensors, h6_distances):
+    g1, g2, g3 = h4_graphs
+    cases = [
+        (h4_tensors, build_pair_ansatz([g1, g2, g1], ordering, extra_pairs=list(g3.edges))),
+        (h6_tensors, build_pair_ansatz(distance_ranked_matchings(h6_distances, 2), ordering)),
+    ]
+    rng = np.random.default_rng(5)
+    for tensors, ansatz in cases:
+        op = build_qubit_hamiltonian(tensors, ordering)
+        cost = _sector_cost(ansatz, op)
+        for _ in range(3):
+            params = rng.uniform(-np.pi, np.pi, ansatz.n_parameters)
+            assert abs(cost(params) - expectation(ansatz.prepare(params), op)) < 1e-12
+
+
+def test_sector_cost_rejects_states_outside_the_sector(h4_operator, h4_graphs):
+    cost = _sector_cost(_LeakyAnsatz(4, (h4_graphs[0],)), h4_operator)
+    with pytest.raises(ValueError, match="leaves the 4-electron sector"):
+        cost(np.zeros(3))
+
+
+def test_optimize_ansatz_is_deterministic_in_seed(h4_operator, h4_graphs):
+    ansatz = build_pair_ansatz([h4_graphs[0]], "interleaved")
+    params, energy = optimize_ansatz(ansatz, h4_operator, restarts=2, seed=3)
+    again, energy_again = optimize_ansatz(ansatz, h4_operator, restarts=2, seed=3)
+    assert np.array_equal(params, again)
+    assert energy == energy_again
+
+
+def test_optimize_ansatz_rejects_mismatched_operator(h2_operator, h4_graphs):
+    ansatz = build_pair_ansatz([h4_graphs[0]], "interleaved")
+    with pytest.raises(ValueError, match="operator acts on 4 qubits, the ansatz prepares 8"):
+        optimize_ansatz(ansatz, h2_operator, restarts=1)
+
+
+def test_lanczos_branch_is_deterministic_and_matches_dense():
+    """Above the dense cutoff: the same bits on every call, and the dense energy.
+
+    The matrix is a permuted direct sum of small random Hermitian blocks, so
+    dense eigh on the blocks is the oracle; the first block is shifted down
+    to keep its lowest eigenvalue well separated.
+    """
+    rng = np.random.default_rng(0)
+    size = 20
+    blocks = []
+    for k in range(DENSE_EIG_LIMIT // size + 1):
+        a = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        blocks.append((a + a.conj().T) / 2 - (30.0 if k == 0 else 0.0) * np.eye(size))
+    perm = rng.permutation(size * len(blocks))
+    mat = scipy.sparse.block_diag(blocks, format="csr")[perm][:, perm]
+    assert mat.shape[0] > DENSE_EIG_LIMIT
+    energy, vec = _lowest_eigenpair(mat)
+    energy_again, vec_again = _lowest_eigenpair(mat)
+    assert energy == energy_again
+    assert np.array_equal(vec, vec_again)
+    assert abs(energy - min(np.linalg.eigvalsh(b)[0] for b in blocks)) < 1e-10
+
+
 def test_ground_state_h2_anchor(h2_operator):
     from conftest import H2_FCI_ENERGY
 
@@ -269,23 +341,3 @@ def test_finite_sample_error_shrinks_with_budget(h2_operator, h2_ground):
     fine = run(5e-4, seed=7)
     assert fine.total_shots > coarse.total_shots
     assert fine.error_of_mean < coarse.error_of_mean
-
-
-def test_circuit_text_round_trip(h4_graphs):
-    circuit = Circuit(2, "reordered")
-    circuit.add(XGate(0))
-    circuit.add(PairRotationGate(0, 1, 0.25))
-    circuit.add(PairGivensGate(0, 1, 1.0 / 3.0))
-    text = circuit_to_text(circuit)
-    back = circuit_from_text(text)
-    assert back.ordering == "reordered"
-    assert back.n_orbitals == 2
-    assert back.gates == circuit.gates
-
-
-def test_circuit_text_errors():
-    with pytest.raises(ValueError, match="header"):
-        circuit_from_text("X 0\n")
-    header = "# n_orbitals=1 ordering=interleaved\n"
-    with pytest.raises(ValueError, match="line 2"):
-        circuit_from_text(header + "WOBBLE 0 1\n")
