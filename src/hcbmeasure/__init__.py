@@ -71,6 +71,7 @@ from .simulator import (
     ground_state,
     optimize_ansatz,
     pauli_expectation,
+    pauli_expectations,
     rotation_circuit,
     sample_group,
     spin_summed_rdms,
@@ -102,7 +103,7 @@ __all__ = [
     # simulation
     "Statevector", "Circuit", "apply_circuit", "apply_clifford",
     "rotation_circuit", "PairAnsatz", "build_pair_ansatz", "optimize_ansatz",
-    "expectation", "pauli_expectation", "ground_state", "sample_group",
+    "expectation", "pauli_expectation", "pauli_expectations", "ground_state", "sample_group",
     "SampledEnergies", "finite_sample_experiment", "spin_summed_rdms",
     # experiment harness
     "ExperimentConfig", "config_from_dict", "load_config",

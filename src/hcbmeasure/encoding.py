@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+import numpy as np
+
 from .integrals import IntegralTensors
-from .paulis import PauliString, PauliSum, multiply
+from .paulis import PauliString, PauliSum
 
 ORDERINGS = ("interleaved", "reordered")
 
@@ -41,10 +43,14 @@ def spin_orbital_index(orbital: int, spin: int, n_orbitals: int, ordering: str) 
     return orbital + spin * n_orbitals
 
 
-def ladder_terms(n_qubits: int, index: int, creation: bool) -> list[tuple[PauliString, complex]]:
-    """Jordan-Wigner image of a single ladder operator as (string, coeff) pairs."""
+def _check_spin_orbital(n_qubits: int, index: int) -> None:
     if not 0 <= index < n_qubits:
         raise ValueError(f"spin orbital {index} out of range for {n_qubits} qubits")
+
+
+def ladder_terms(n_qubits: int, index: int, creation: bool) -> list[tuple[PauliString, complex]]:
+    """Jordan-Wigner image of a single ladder operator as (string, coeff) pairs."""
+    _check_spin_orbital(n_qubits, index)
     prefix = (1 << index) - 1
     bit = 1 << index
     x_part = PauliString(n_qubits, bit, prefix)
@@ -53,24 +59,51 @@ def ladder_terms(n_qubits: int, index: int, creation: bool) -> list[tuple[PauliS
     return [(x_part, 0.5 + 0.0j), (y_part, y_coeff)]
 
 
-def _product_terms(
-    n_qubits: int, ops: LadderOps
-) -> dict[PauliString, complex]:
-    """Exact (complex) JW image of an ordered ladder-operator product."""
-    acc: dict[PauliString, complex] = {PauliString(n_qubits): 1.0 + 0.0j}
-    for index, creation in ops:
-        factor = ladder_terms(n_qubits, index, creation)
-        nxt: dict[PauliString, complex] = {}
-        for left, cl in acc.items():
-            for right, cr in factor:
-                prod, phase = multiply(left, right)
-                val = nxt.get(prod, 0.0) + cl * cr * phase
-                if val == 0.0:
-                    nxt.pop(prod, None)
-                else:
-                    nxt[prod] = val
-        acc = nxt
-    return acc
+def _product_images(
+    index: np.ndarray, creation: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact JW images of T ordered ladder products of one length k.
+
+    index and creation are (T, k).  Every product expands into 2^k paths,
+    one per choice of each ladder's X or Y part (see ladder_terms); a
+    path's string is the XOR of its parts' masks, and its value is 2^-k
+    times a power of i carried over the parts by the paulis.multiply
+    phase rule.  Paths landing on the same string merge within their
+    product, exactly, since every value is a dyadic times a power of i.
+    Returns (row, x, z, re, im): the nonzero strings of every product with
+    row its product and value re + i*im.
+    """
+    n_terms, k = index.shape
+    choice = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(np.uint8)
+    x = np.zeros((n_terms, 1), dtype=np.uint64)
+    z = np.zeros((n_terms, 1 << k), dtype=np.uint64)
+    # uint8 arithmetic wraps modulo 256, a multiple of 4, so powers of i stay exact
+    power = np.zeros(z.shape, dtype=np.uint8)
+    for j in range(k):
+        bit = (np.uint64(1) << index[:, j])[:, None]
+        part_z = (bit - np.uint64(1)) | (bit * choice[:, j])
+        power += np.bitwise_count(x & z)
+        power += np.bitwise_count(bit & part_z)
+        power += 2 * np.bitwise_count(z & bit)
+        x = x ^ bit
+        z ^= part_z
+        power -= np.bitwise_count(x & z)
+        # the Y part carries -i/2 = i^3/2 on a creator and i/2 on an annihilator
+        power += choice[:, j] * np.where(creation[:, j], 3, 1).astype(np.uint8)[:, None]
+    order = np.argsort(z, axis=1)
+    z = np.take_along_axis(z, order, axis=1)
+    power = np.take_along_axis(power, order, axis=1).ravel() & 3
+    del order
+    run_start = np.ones(z.shape, dtype=bool)
+    run_start[:, 1:] = z[:, 1:] != z[:, :-1]
+    starts = np.flatnonzero(run_start)
+    # integer sums of the paths' powers of i: exact in any order
+    re = np.add.reduceat(np.array([1, 0, -1, 0], dtype=np.int8)[power], starts, dtype=np.int64)
+    im = np.add.reduceat(np.array([0, 1, 0, -1], dtype=np.int8)[power], starts, dtype=np.int64)
+    keep = (re != 0) | (im != 0)
+    row = starts[keep] >> k
+    scale = 0.5**k
+    return row, x[row, 0], z.ravel()[starts[keep]], re[keep] * scale, im[keep] * scale
 
 
 def jw_encode(
@@ -82,20 +115,64 @@ def jw_encode(
     Each entry is (coefficient, ((spin_orbital, is_creation), ...)); an empty
     operator tuple contributes a multiple of the identity.  The total must be
     Hermitian: any imaginary residue above IMAG_TOL raises ValueError.
+
+    Products are expanded as arrays, one batch per product length (see
+    _product_images).  Each string's coefficient is summed over the entries
+    in their given order, one rounding per entry, so the result does not
+    depend on how the entries are batched.
     """
-    acc: dict[PauliString, complex] = {}
-    for coeff, ops in terms:
-        for string, val in _product_terms(n_qubits, ops).items():
-            acc[string] = acc.get(string, 0.0) + coeff * val
-    out = PauliSum(n_qubits)
-    for string, val in acc.items():
-        if abs(val.imag) > IMAG_TOL:
-            raise ValueError(
-                f"operator is not Hermitian: term {string} has imaginary part {val.imag:.3e}"
-            )
-        if val.real != 0.0:
-            out.add_term(string, val.real)
-    return out
+    if not 1 <= n_qubits <= 64:
+        raise ValueError(f"jw_encode takes 1 to 64 qubits, got {n_qubits}")
+    by_length: dict[int, tuple[list[int], list[complex], list[LadderOps]]] = {}
+    for position, (coeff, ops) in enumerate(terms):
+        positions, coeffs, products = by_length.setdefault(len(ops), ([], [], []))
+        positions.append(position)
+        coeffs.append(coeff)
+        products.append(ops)
+    parts = []
+    for k, (positions, coeffs, products) in by_length.items():
+        table = np.array(products, dtype=np.int64).reshape(len(products), k, 2)
+        index = table[:, :, 0]
+        out_of_range = index[(index < 0) | (index >= n_qubits)]
+        if len(out_of_range):
+            _check_spin_orbital(n_qubits, int(out_of_range[0]))
+        row, x, z, re, im = _product_images(index.astype(np.uint64), table[:, :, 1].astype(bool))
+        c = np.array(coeffs, dtype=complex)[row]
+        # the textbook complex product, rounded as Python's and NumPy's are
+        parts.append((np.array(positions)[row], x, z,
+                      c.real * re - c.imag * im, c.real * im + c.imag * re))
+    if not parts:
+        return PauliSum(n_qubits)
+    position, x, z, re, im = (np.concatenate(column) for column in zip(*parts))
+    # one entry per (term, string) is the encoder's peak memory: drop each array once spent
+    del parts
+    # by string, then by entry: np.add.at applies each string's values in entry order
+    order = np.lexsort((position, z, x))
+    del position
+    x = x[order]
+    z = z[order]
+    re = re[order]
+    im = im[order]
+    del order
+    first = np.ones(len(x), dtype=bool)
+    first[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
+    slot = np.cumsum(first) - 1
+    x, z = x[first].tolist(), z[first].tolist()
+    total_re = np.zeros(len(x))
+    total_im = np.zeros(len(x))
+    np.add.at(total_re, slot, re)
+    np.add.at(total_im, slot, im)
+    bad = np.flatnonzero(np.abs(total_im) > IMAG_TOL)
+    if len(bad):
+        i = bad[0]
+        raise ValueError(
+            f"operator is not Hermitian: term {PauliString(n_qubits, x[i], z[i])} "
+            f"has imaginary part {total_im[i]:.3e}"
+        )
+    return PauliSum(n_qubits, {
+        PauliString(n_qubits, x[i], z[i]): total_re[i]
+        for i in np.flatnonzero(total_re != 0.0).tolist()
+    })
 
 
 def hamiltonian_terms(
@@ -104,7 +181,7 @@ def hamiltonian_terms(
     """Spin-summed second-quantized term list for the given tensors."""
     check_ordering(ordering)
     n = tensors.n_orbitals
-    so = lambda k, s: spin_orbital_index(k, s, n, ordering)
+    so = [[spin_orbital_index(k, s, n, ordering) for s in range(2)] for k in range(n)]
     terms: list[tuple[float, LadderOps]] = []
     if tensors.e_nuc != 0.0:
         terms.append((tensors.e_nuc, ()))
@@ -115,7 +192,7 @@ def hamiltonian_terms(
             if abs(h[k, l]) <= ZERO_TOL:
                 continue
             for s in range(2):
-                terms.append((h[k, l], ((so(k, s), True), (so(l, s), False))))
+                terms.append((h[k, l], ((so[k][s], True), (so[l][s], False))))
     for k in range(n):
         for l in range(n):
             for m in range(n):
@@ -126,10 +203,10 @@ def hamiltonian_terms(
                     for s1 in range(2):
                         for s2 in range(2):
                             ops = (
-                                (so(k, s1), True),
-                                (so(l, s2), True),
-                                (so(nn, s2), False),
-                                (so(m, s1), False),
+                                (so[k][s1], True),
+                                (so[l][s2], True),
+                                (so[nn][s2], False),
+                                (so[m][s1], False),
                             )
                             terms.append((coeff, ops))
     return terms

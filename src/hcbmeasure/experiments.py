@@ -50,7 +50,7 @@ from .simulator import (
     expectation,
     finite_sample_experiment,
     ground_state,
-    optimize_ansatz,
+    ground_state_and_ansatz_optimum,
     rotation_circuit,
 )
 
@@ -342,8 +342,8 @@ def prepare_scenario_state(
     config: ExperimentConfig, system: ResolvedSystem, op: PauliSum
 ) -> tuple[Statevector, dict]:
     """Scenario I: exact ground state.  Scenario II: optimized pair ansatz."""
-    exact_energy, exact_state = ground_state(op, system.n_electrons)
     if config.scenario == "I":
+        exact_energy, exact_state = ground_state(op, system.n_electrons)
         return exact_state, {"scenario": "I", "exact_energy": exact_energy,
                              "state_energy": exact_energy}
     spec = config.ansatz
@@ -355,8 +355,12 @@ def prepare_scenario_state(
     extras = [edge for text in spec.extra_pairs
               for edge in parse_graph(text, n).edges]
     ansatz = build_pair_ansatz(graphs, config.ordering, extra_pairs=extras)
-    params, energy = optimize_ansatz(ansatz, op, restarts=spec.restarts,
-                                     seed=spec.seed)
+    if ansatz.n_electrons != system.n_electrons:
+        raise ValueError(
+            f"the scenario II ansatz prepares {ansatz.n_electrons} electrons "
+            f"(two per edge of its first graph), the system has {system.n_electrons}")
+    (exact_energy, _), (params, energy) = ground_state_and_ansatz_optimum(
+        ansatz, op, restarts=spec.restarts, seed=spec.seed)
     return ansatz.prepare(params), {
         "scenario": "II",
         "exact_energy": exact_energy,

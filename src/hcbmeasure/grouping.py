@@ -239,15 +239,25 @@ def member_shot_count(
     return (coeff**2) * variance / (epsilon**2)
 
 
-def group_shot_count(group: CommutingGroup, state, epsilon: float) -> float:
-    """Shot requirement of a group: its most demanding member."""
-    from .simulator import pauli_expectation
+def _group_shot_counts(
+    groups: list[CommutingGroup], state, epsilon: float
+) -> list[float]:
+    """Shot requirement of each group: its most demanding member.
 
-    worst = 0.0
-    for string, coeff in group.members:
-        value = pauli_expectation(state, string)
-        worst = max(worst, member_shot_count(string, coeff, value, epsilon))
-    return worst
+    Every member's <P> comes from one pauli_expectations call, so a string
+    pattern shared across groups is evaluated once.
+    """
+    from .simulator import pauli_expectations
+
+    strings = [string for group in groups for string, _ in group.members]
+    values = iter(pauli_expectations(state, strings).tolist())
+    counts = []
+    for group in groups:
+        worst = 0.0
+        for string, coeff in group.members:
+            worst = max(worst, member_shot_count(string, coeff, next(values), epsilon))
+        counts.append(worst)
+    return counts
 
 
 def estimate_shots(
@@ -256,12 +266,9 @@ def estimate_shots(
     """Per-group and total shot budgets on a fixed measured state."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    labels = []
-    counts = []
-    for group in grouping.groups:
-        labels.append(group.label or f"group-{len(labels)}")
-        counts.append(group_shot_count(group, state, epsilon))
-    return ShotEstimate(epsilon, tuple(labels), tuple(counts))
+    labels = tuple(group.label or f"group-{k}" for k, group in enumerate(grouping.groups))
+    return ShotEstimate(epsilon, labels,
+                        tuple(_group_shot_counts(grouping.groups, state, epsilon)))
 
 
 def protocol_shot_estimate(records, state, epsilon: float = 1e-3) -> ShotEstimate:
@@ -274,13 +281,11 @@ def protocol_shot_estimate(records, state, epsilon: float = 1e-3) -> ShotEstimat
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    labels = []
-    counts = []
-    for record in records:
-        for g_index, group in enumerate(record.groups, start=1):
-            labels.append(f"step{record.step}-group{g_index}")
-            counts.append(group_shot_count(group, state, epsilon))
-    return ShotEstimate(epsilon, tuple(labels), tuple(counts))
+    labels = tuple(f"step{record.step}-group{g_index}"
+                   for record in records
+                   for g_index in range(1, len(record.groups) + 1))
+    groups = [group for record in records for group in record.groups]
+    return ShotEstimate(epsilon, labels, tuple(_group_shot_counts(groups, state, epsilon)))
 
 
 # ---------------------------------------------------------------------------

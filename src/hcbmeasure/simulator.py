@@ -15,6 +15,7 @@ are involved.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,7 @@ MAX_QUBITS = 16
 DENSE_EIG_LIMIT = 4096
 NORM_TOL = 1e-10
 RDM_TOL = 1e-10  # largest Hermiticity or trace gap a built RDM may show
+SIGN_BLOCK = 1 << 21  # entries of one pauli_expectations sign matrix (16 MiB)
 
 _H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 _S_MATRIX = np.array([[1.0, 0.0], [0.0, 1.0j]])
@@ -466,10 +468,27 @@ def optimize_ansatz(
     Each evaluation is one sparse matvec on the ansatz's particle-number
     sector (see :func:`_sector_cost`).
     """
+    return _minimize(ansatz, _sector_cost(ansatz, op), restarts, seed, spread)
+
+
+def ground_state_and_ansatz_optimum(
+    ansatz: PairAnsatz, op: PauliSum, restarts: int = 6, seed: int = 11
+) -> tuple[tuple[float, Statevector], tuple[np.ndarray, float]]:
+    """(ground_state(op, N), optimize_ansatz(ansatz, op, restarts, seed)) for
+    the ansatz's electron count N, from one build of op's N-sector matrix."""
+    _check_ansatz_operator(ansatz, op)
+    sector, mat = _sector_operator(op, ansatz.n_electrons)
+    exact = _sector_ground_state(op.n_qubits, sector, mat)
+    cost = _cost_on_sector(ansatz, sector, mat)
+    return exact, _minimize(ansatz, cost, restarts, seed, spread=0.8)
+
+
+def _minimize(
+    ansatz: PairAnsatz, cost, restarts: int, seed: int, spread: float
+) -> tuple[np.ndarray, float]:
     import scipy.optimize
 
     rng = np.random.default_rng(seed)
-    cost = _sector_cost(ansatz, op)
     best_x: np.ndarray | None = None
     best_f = np.inf
     for _ in range(max(1, restarts)):
@@ -482,6 +501,13 @@ def optimize_ansatz(
     return best_x, best_f
 
 
+def _check_ansatz_operator(ansatz: PairAnsatz, op: PauliSum) -> None:
+    n_qubits = 2 * ansatz.n_orbitals
+    if op.n_qubits != n_qubits:
+        raise ValueError(
+            f"operator acts on {op.n_qubits} qubits, the ansatz prepares {n_qubits}")
+
+
 def _sector_cost(ansatz: PairAnsatz, op: PauliSum):
     """params -> <psi(params)|op|psi(params)> on the ansatz's N-electron sector.
 
@@ -490,12 +516,12 @@ def _sector_cost(ansatz: PairAnsatz, op: PauliSum):
     and v the prepared amplitudes on the sector.  A prepared state with any
     nonzero amplitude outside the sector raises instead of being projected.
     """
-    n_qubits = 2 * ansatz.n_orbitals
-    if op.n_qubits != n_qubits:
-        raise ValueError(
-            f"operator acts on {op.n_qubits} qubits, the ansatz prepares {n_qubits}")
-    sector, mat = _sector_operator(op, ansatz.n_electrons)
-    outside = np.ones(1 << n_qubits, dtype=bool)
+    _check_ansatz_operator(ansatz, op)
+    return _cost_on_sector(ansatz, *_sector_operator(op, ansatz.n_electrons))
+
+
+def _cost_on_sector(ansatz: PairAnsatz, sector: np.ndarray, mat: scipy.sparse.csr_matrix):
+    outside = np.ones(1 << (2 * ansatz.n_orbitals), dtype=bool)
     outside[sector] = False
 
     def cost(params: np.ndarray) -> float:
@@ -539,15 +565,45 @@ def _x_buckets(op: PauliSum) -> dict[int, list[tuple[int, complex]]]:
     return by_x
 
 
-def pauli_expectation(state: Statevector, string: PauliString) -> float:
-    if string.n_qubits != state.n_qubits:
-        raise ValueError("string and state qubit counts differ")
+def pauli_expectations(state: Statevector, strings: Sequence[PauliString]) -> np.ndarray:
+    """<P> of every string, in one pass per distinct X-pattern.
+
+    The strings sharing an x_mask share the overlap conj(psi[b ^ x]) psi[b],
+    taken only over the basis states b where both amplitudes are nonzero;
+    their values are one product of a sign matrix (-1)^|b & z|, one row per
+    distinct z_mask and at most SIGN_BLOCK entries at a time, with that
+    overlap, times each string's i^|x&z|.  Repeated strings are evaluated
+    once.
+    """
     amps = state.amplitudes
-    idx = np.arange(len(amps), dtype=np.int64)
-    phase = _y_phase(string.x_mask, string.z_mask)
-    signs = 1.0 - 2.0 * _parity(idx, string.z_mask)
-    val = phase * np.vdot(amps[idx ^ string.x_mask], signs * amps)
-    return float(val.real)
+    support = np.flatnonzero(amps)
+    psi = amps[support]
+    buckets: dict[int, dict[int, list[int]]] = {}
+    for i, string in enumerate(strings):
+        if string.n_qubits != state.n_qubits:
+            raise ValueError("string and state qubit counts differ")
+        buckets.setdefault(string.x_mask, {}).setdefault(string.z_mask, []).append(i)
+    values = np.empty(len(strings))
+    for x_mask, by_z in buckets.items():
+        overlap = np.conj(amps[support ^ x_mask]) * psi
+        reached = np.flatnonzero(overlap)
+        basis, overlap = support[reached], overlap[reached]
+        z_masks = list(by_z)
+        step = max(1, SIGN_BLOCK // max(1, len(basis)))
+        for lo in range(0, len(z_masks), step):
+            block = z_masks[lo:lo + step]
+            z = np.array(block, dtype=np.int64)
+            signs = 1.0 - 2.0 * _parity(basis[None, :], z[:, None])
+            re, im = signs @ overlap.real, signs @ overlap.imag
+            # the real part of i^p (re + i im), p = |x & z| mod 4
+            power = np.bitwise_count(z & x_mask) % 4
+            for z_mask, value in zip(block, np.choose(power, (re, -im, -re, im)).tolist()):
+                values[by_z[z_mask]] = value
+    return values
+
+
+def pauli_expectation(state: Statevector, string: PauliString) -> float:
+    return float(pauli_expectations(state, [string])[0])
 
 
 def expectation(state: Statevector, op: PauliSum) -> float:
@@ -621,8 +677,12 @@ def ground_state(op: PauliSum, n_electrons: int) -> tuple[float, Statevector]:
     returning.  Lanczos starts from a fixed generic (seeded normal) vector,
     so the result is the same in every process.
     """
-    n_qubits = op.n_qubits
-    sector, mat = _sector_operator(op, n_electrons)
+    return _sector_ground_state(op.n_qubits, *_sector_operator(op, n_electrons))
+
+
+def _sector_ground_state(
+    n_qubits: int, sector: np.ndarray, mat: scipy.sparse.csr_matrix
+) -> tuple[float, Statevector]:
     energy, vec = _lowest_eigenpair(mat)
     full = np.zeros(1 << n_qubits, dtype=complex)
     full[sector] = vec

@@ -5,7 +5,7 @@ import pytest
 
 from hcbmeasure.encoding import build_qubit_hamiltonian
 from hcbmeasure.geometry import build_geometry
-from hcbmeasure.integrals import minimal_basis_integrals
+from hcbmeasure.integrals import IntegralTensors, minimal_basis_integrals
 from hcbmeasure.rotations import PairingGraph, graph_rotation
 from hcbmeasure.simulator import ground_state
 
@@ -19,6 +19,27 @@ def tensor_gap(a, b) -> float:
     return max(float(np.max(np.abs(a.one_body - b.one_body))),
                float(np.max(np.abs(a.two_body - b.two_body))),
                abs(a.e_nuc - b.e_nuc))
+
+
+def full_vector_expectation(state, string) -> float:
+    """<P> as phase * <psi[b ^ x] | (-1)^|b & z| psi[b]> over all 2^n basis states."""
+    amps = state.amplitudes
+    idx = np.arange(len(amps))
+    signs = 1.0 - 2.0 * (np.bitwise_count(idx & string.z_mask) & 1)
+    phase = 1j ** ((string.x_mask & string.z_mask).bit_count() % 4)
+    return float((phase * np.vdot(amps[idx ^ string.x_mask], signs * amps)).real)
+
+
+def random_tensors(n, seed, e_nuc=0.0):
+    """Random real tensors with the full 8-fold two-body symmetry."""
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(n, n))
+    h = (h + h.T) / 2
+    chem = rng.normal(size=(n, n, n, n)) * 0.1
+    chem = chem + chem.transpose(1, 0, 2, 3)
+    chem = chem + chem.transpose(0, 1, 3, 2)
+    chem = chem + chem.transpose(2, 3, 0, 1)
+    return IntegralTensors(n, h, np.einsum("ijkl->ikjl", chem), e_nuc)
 
 
 @pytest.fixture(scope="session")

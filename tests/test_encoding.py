@@ -1,18 +1,27 @@
 """Fermion-to-qubit encoding: orderings, ladder algebra, Hamiltonian build."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from conftest import random_tensors
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcbmeasure.encoding import (
+    IMAG_TOL,
     ORDERINGS,
     build_qubit_hamiltonian,
     check_ordering,
+    hamiltonian_terms,
     jw_encode,
     ladder_terms,
     spin_orbital_index,
 )
+from hcbmeasure.fcidump import read_fcidump, write_fcidump
 from hcbmeasure.integrals import IntegralTensors
-from hcbmeasure.paulis import PauliSum
+from hcbmeasure.paulis import PauliString, PauliSum, multiply
+from hcbmeasure.rotations import random_orthogonal_rotation, rotate_integrals
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -193,3 +202,141 @@ def test_hamiltonian_against_dense_fock_oracle(h2_tensors):
                                 @ ladders[so(nn, s2)]
                                 @ ladders[so(m, s1)])
     assert np.max(np.abs(_dense_sum(op) - dense)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the dict-based encoder, one paulis.multiply per (string, ladder part): the
+# oracle the array encoder must match bit for bit
+
+
+def _oracle_product_terms(n_qubits, ops):
+    acc = {PauliString(n_qubits): 1.0 + 0.0j}
+    for index, creation in ops:
+        factor = ladder_terms(n_qubits, index, creation)
+        nxt = {}
+        for left, cl in acc.items():
+            for right, cr in factor:
+                prod, phase = multiply(left, right)
+                val = nxt.get(prod, 0.0) + cl * cr * phase
+                if val == 0.0:
+                    nxt.pop(prod, None)
+                else:
+                    nxt[prod] = val
+        acc = nxt
+    return acc
+
+
+def _oracle_jw_encode(n_qubits, terms):
+    acc = {}
+    for coeff, ops in terms:
+        for string, val in _oracle_product_terms(n_qubits, ops).items():
+            acc[string] = acc.get(string, 0.0) + coeff * val
+    out = PauliSum(n_qubits)
+    for string, val in acc.items():
+        if abs(val.imag) > IMAG_TOL:
+            raise ValueError(f"term {string} has imaginary part {val.imag:.3e}")
+        if val.real != 0.0:
+            out.add_term(string, val.real)
+    return out
+
+
+def _bits(op):
+    return [(s.x_mask, s.z_mask, c.hex()) for s, c in op.terms()]
+
+
+def _assert_build_matches_oracle(tensors, ordering, prune_threshold=1e-12):
+    want = _oracle_jw_encode(2 * tensors.n_orbitals, hamiltonian_terms(tensors, ordering))
+    got = build_qubit_hamiltonian(tensors, ordering, prune_threshold)
+    assert _bits(got) == _bits(want.prune(prune_threshold))
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["unrotated", "rotated"])
+@pytest.mark.parametrize("ordering", ORDERINGS)
+@pytest.mark.parametrize("system", ["h2", "h4", "h6"])
+def test_build_matches_dict_oracle_bit_for_bit(request, system, ordering, rotated):
+    tensors = request.getfixturevalue(f"{system}_tensors")
+    if rotated:
+        rotation = random_orthogonal_rotation(tensors.n_orbitals, seed=17)
+        tensors = rotate_integrals(tensors, rotation)
+    _assert_build_matches_oracle(tensors, ordering)
+
+
+def test_build_matches_dict_oracle_on_fcidump_tensors(h4_tensors, tmp_path):
+    path = tmp_path / "h4.fcidump"
+    write_fcidump(h4_tensors, path)
+    external = Path(__file__).parent / "data" / "h4_line_1p5_external.fcidump"
+    for tensors in (read_fcidump(path), read_fcidump(external)):
+        for ordering in ORDERINGS:
+            _assert_build_matches_oracle(tensors, ordering)
+
+
+@pytest.mark.parametrize("n,seed", [(1, 0), (2, 1), (3, 2), (4, 3)])
+def test_build_matches_dict_oracle_on_random_tensors(n, seed):
+    tensors = random_tensors(n, seed, e_nuc=0.25)
+    for ordering in ORDERINGS:
+        _assert_build_matches_oracle(tensors, ordering, prune_threshold=0.0)
+
+
+def test_jw_encode_edge_cases_match_the_oracle():
+    identity = jw_encode(3, [(0.7, ())])
+    assert _bits(identity) == [(0, 0, (0.7).hex())]
+    for ops in (((1, True), (1, True)), ((2, False), (2, False)),
+                ((0, True), (1, True), (0, True), (2, False))):
+        assert len(jw_encode(3, [(1.0, ops)])) == 0  # a repeated mode cancels
+    mixed = [(0.3, ()), (1.5, ((0, True), (0, False))), (-0.25, ((2, True), (2, False)))]
+    assert _bits(jw_encode(3, mixed)) == _bits(_oracle_jw_encode(3, mixed))
+    assert len(jw_encode(3, [])) == 0
+
+
+@pytest.mark.parametrize("ops", [
+    ((0, True),),  # odd
+    ((1, False),),
+    ((0, True), (1, False)),  # bare hop
+    ((0, True), (1, True), (2, False)),
+])
+def test_jw_encode_rejects_odd_and_bare_products(ops):
+    with pytest.raises(ValueError, match="not Hermitian"):
+        jw_encode(3, [(1.0, ops)])
+    with pytest.raises(ValueError):
+        _oracle_jw_encode(3, [(1.0, ops)])
+
+
+@pytest.mark.parametrize("index", [-1, 3, 7])
+def test_jw_encode_rejects_out_of_range_spin_orbitals(index):
+    for ops in (((index, True), (index, False)), ((0, True), (index, False))):
+        with pytest.raises(ValueError, match=f"spin orbital {index} out of range for 3 qubits"):
+            jw_encode(3, [(1.0, ops)])
+
+
+def _dagger(coeff, ops):
+    return np.conj(coeff), tuple((index, not creation) for index, creation in reversed(ops))
+
+
+@st.composite
+def _hermitian_combinations(draw):
+    """1-3 random ladder products of 1-4 ops on 1-4 modes, each plus its h.c."""
+    n = draw(st.integers(1, 4))
+    parts = st.floats(-1.0, 1.0, allow_nan=False)
+    product = st.lists(st.tuples(st.integers(0, n - 1), st.booleans()), min_size=1, max_size=4)
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeff = complex(draw(parts), draw(parts))
+        ops = tuple(draw(product))
+        terms += [(coeff, ops), _dagger(coeff, ops)]
+    return n, terms
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_hermitian_combinations())
+def test_jw_encode_of_term_plus_hc_is_the_hermitian_dense_operator(case):
+    n, terms = case
+    ladders = [_dense_annihilator(n, j) for j in range(n)]
+    dense = np.zeros((2**n, 2**n), dtype=complex)
+    for coeff, ops in terms:
+        product = np.eye(2**n, dtype=complex)
+        for index, creation in ops:
+            product = product @ (ladders[index].conj().T if creation else ladders[index])
+        dense += coeff * product
+    encoded = _dense_sum(jw_encode(n, terms))
+    assert np.max(np.abs(encoded - dense)) < 1e-12
+    assert np.max(np.abs(encoded - encoded.conj().T)) < 1e-12

@@ -160,3 +160,16 @@ def test_cli_bad_config_key_exits_1_with_error_json(tmp_path, capsys):
     assert set(error) == {"error", "message"}
     assert error["error"] == "ValueError"
     assert "bogus_key" in error["message"]
+
+
+def test_scenario_two_rejects_an_ansatz_of_another_electron_count(tmp_path):
+    """One edge prepares 2 electrons; the H4 line has 4."""
+    config = config_from_dict({
+        "system": {"n_atoms": 4},
+        "scenario": "II",
+        "ansatz": {"graphs": ["0-1"], "restarts": 1},
+        "rotations": {"graphs": ["0-1,2-3"]},
+        "output_dir": str(tmp_path),
+    })
+    with pytest.raises(ValueError, match="prepares 2 electrons .*the system has 4"):
+        cmd_decompose(config)

@@ -5,16 +5,19 @@ import json
 
 import numpy as np
 import pytest
+from conftest import full_vector_expectation
 
 from hcbmeasure.grouping import (
     depth_overhead,
     estimate_shots,
     lf_grouping,
     member_shot_count,
+    protocol_shot_estimate,
     rlf_grouping,
     si_grouping,
 )
 from hcbmeasure.groups import diagonalized_members, diagonalizing_circuit
+from hcbmeasure.hcb import run_protocol
 from hcbmeasure.paulis import PauliString, PauliSum
 from hcbmeasure.rotations import graph_rotation
 from hcbmeasure.simulator import Circuit, Statevector, rotation_circuit
@@ -98,6 +101,27 @@ def test_memberships_are_pinned(request, system, grouping, count, digest):
     result = grouping(request.getfixturevalue(system))
     assert result.group_count == count
     assert _membership_digest(result) == digest
+
+
+def _per_member_budgets(groups, state, epsilon):
+    return [max([0.0] + [member_shot_count(s, c, full_vector_expectation(state, s), epsilon)
+                         for s, c in group.members])
+            for group in groups]
+
+
+def test_shot_budgets_match_the_per_member_path(h6_operator, h6_ground, h4_tensors,
+                                                h4_rotations, h4_ground):
+    _, state = h6_ground
+    for grouping in (lf_grouping, rlf_grouping, si_grouping):
+        result = grouping(h6_operator)
+        np.testing.assert_allclose(estimate_shots(result, state, 1e-3).per_group,
+                                   _per_member_budgets(result.groups, state, 1e-3),
+                                   rtol=1e-12, atol=0.0)
+    _, state = h4_ground
+    records = run_protocol(h4_tensors, h4_rotations, state)
+    groups = [group for record in records for group in record.groups]
+    np.testing.assert_allclose(protocol_shot_estimate(records, state, 1e-3).per_group,
+                               _per_member_budgets(groups, state, 1e-3), rtol=1e-12, atol=0.0)
 
 
 def test_partitions_rebuild_operator(h4_operator):

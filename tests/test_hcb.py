@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import random_tensors
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -219,22 +220,10 @@ def test_protocol_input_validation(h2_tensors, h2_ground):
         run_protocol(h2_tensors, [identity_rotation(2)], bad_state)
 
 
-def _random_tensors(n, seed, e_nuc=0.0):
-    """Random real tensors with the full 8-fold two-body symmetry."""
-    rng = np.random.default_rng(seed)
-    h = rng.normal(size=(n, n))
-    h = (h + h.T) / 2
-    chem = rng.normal(size=(n, n, n, n)) * 0.1
-    chem = chem + chem.transpose(1, 0, 2, 3)
-    chem = chem + chem.transpose(0, 1, 3, 2)
-    chem = chem + chem.transpose(2, 3, 0, 1)
-    return IntegralTensors(n, h, np.einsum("ijkl->ikjl", chem), e_nuc)
-
-
 @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
 def test_small_random_rotations_reconstruct(n, seed):
     """Telescoping holds for random tensors under random rotation sets."""
-    tensors = _random_tensors(n, seed)
+    tensors = random_tensors(n, seed)
     rotations = [random_orthogonal_rotation(n, seed=seed * 10 + k)
                  for k in range(3)]
     state = _random_state(2 * n, seed)
@@ -287,7 +276,7 @@ def test_protocol_residual_matches_pauli_path(h4_tensors, h4_rotations, h4_groun
 @given(n=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
        n_rotations=st.integers(1, 3), ordering=st.sampled_from(ORDERINGS))
 def test_telescoping_identity_property(n, seed, n_rotations, ordering):
-    tensors = _random_tensors(n, seed, e_nuc=0.5)
+    tensors = random_tensors(n, seed, e_nuc=0.5)
     rotations = [random_orthogonal_rotation(n, seed=seed + k)
                  for k in range(n_rotations)]
     state = _random_state(2 * n, seed)
@@ -301,7 +290,7 @@ def test_telescoping_identity_property(n, seed, n_rotations, ordering):
        ordering=st.sampled_from(ORDERINGS))
 def test_rdm_energy_is_rotation_invariant(n, seed, ordering):
     """The rotated tensors on the rotated state's RDMs give the same energy."""
-    tensors = _random_tensors(n, seed, e_nuc=0.5)
+    tensors = random_tensors(n, seed, e_nuc=0.5)
     rotation = random_orthogonal_rotation(n, seed=seed)
     state = _random_state(2 * n, seed)
     rotated = apply_circuit(state, rotation_circuit(rotation, n, ordering))

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 import scipy.sparse
+from conftest import full_vector_expectation
 from scipy.linalg import expm
 
+import hcbmeasure.simulator as simulator
 from hcbmeasure.encoding import build_qubit_hamiltonian, spin_orbital_index
 from hcbmeasure.grouping import si_grouping
 from hcbmeasure.groups import CommutingGroup
@@ -28,8 +30,10 @@ from hcbmeasure.simulator import (
     expectation,
     finite_sample_experiment,
     ground_state,
+    ground_state_and_ansatz_optimum,
     optimize_ansatz,
     pauli_expectation,
+    pauli_expectations,
     sample_group,
 )
 
@@ -220,6 +224,18 @@ def test_optimize_ansatz_rejects_mismatched_operator(h2_operator, h4_graphs):
         optimize_ansatz(ansatz, h2_operator, restarts=1)
 
 
+def test_ground_state_and_optimum_share_one_sector_build(h4_operator, h4_graphs):
+    ansatz = build_pair_ansatz([h4_graphs[0]], "interleaved")
+    (energy, state), (params, optimum) = ground_state_and_ansatz_optimum(
+        ansatz, h4_operator, restarts=2, seed=3)
+    want_energy, want_state = ground_state(h4_operator, 4)
+    want_params, want_optimum = optimize_ansatz(ansatz, h4_operator, restarts=2, seed=3)
+    assert energy == want_energy
+    assert np.array_equal(state.amplitudes, want_state.amplitudes)
+    assert np.array_equal(params, want_params)
+    assert optimum == want_optimum
+
+
 def test_lanczos_branch_is_deterministic_and_matches_dense():
     """Above the dense cutoff: the same bits on every call, and the dense energy.
 
@@ -266,6 +282,29 @@ def test_expectation_basics():
     assert pauli_expectation(state, z0) == pytest.approx(1.0)
     state1 = Statevector.computational_basis(2, 0b01)
     assert pauli_expectation(state1, z0) == pytest.approx(-1.0)
+
+
+@pytest.mark.parametrize("block", [simulator.SIGN_BLOCK, 5])
+@pytest.mark.parametrize("seed,zeros", [(0, 0), (1, 6)])
+def test_pauli_expectations_match_the_full_vector_path(monkeypatch, seed, zeros, block):
+    """Every string on 3 qubits (identity included), repeats, shuffled, on a
+    random complex state; some states have zero amplitudes, and a small
+    SIGN_BLOCK splits the sign matrices."""
+    monkeypatch.setattr(simulator, "SIGN_BLOCK", block)
+    n = 3
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    amps[rng.permutation(2**n)[:zeros]] = 0.0
+    state = Statevector(n, amps / np.linalg.norm(amps))
+    every = [PauliString(n, x, z) for x in range(2**n) for z in range(2**n)]
+    strings = [every[i] for i in rng.permutation(len(every))] + every[:9]
+    want = np.array([full_vector_expectation(state, s) for s in strings])
+    assert np.max(np.abs(pauli_expectations(state, strings) - want)) < 1e-12
+    for string, value in zip(strings, want):
+        assert abs(pauli_expectation(state, string) - value) < 1e-12
+    assert pauli_expectations(state, []).shape == (0,)
+    with pytest.raises(ValueError, match="qubit counts differ"):
+        pauli_expectations(state, [PauliString(2, 1, 0)])
 
 
 def test_expectation_linearity():
