@@ -123,11 +123,14 @@ class RotationSpec:
     appends the top-K pairing graphs ranked by total edge length on the
     system geometry; ``random_count`` appends seeded random orthogonal
     rotations.  ``theta`` (radians) applies to every graph rotation.
+    Unset, ``auto_graphs`` is 0 unless the section gives no other source
+    and the system has a geometry; then it is min(3, (n-1)!!), the count
+    of perfect matchings of n orbitals capped at 3 (see build_rotations).
     """
 
     graphs: tuple[str, ...] = ()
     theta: float = math.pi / 2.0
-    auto_graphs: int = 0
+    auto_graphs: int | None = None
     random_count: int = 0
     random_seed: int = 0
 
@@ -322,11 +325,17 @@ def build_rotations(
     rotations: list[OrbitalRotation] = []
     for text in spec.graphs:
         rotations.append(graph_rotation(parse_graph(text, n), spec.theta))
-    if spec.auto_graphs > 0:
+    auto_graphs = spec.auto_graphs
+    if auto_graphs is None:
+        # an otherwise empty set takes the top ranked matchings, if any exist
+        bare = not spec.graphs and not spec.random_count
+        n_matchings = math.prod(range(n - 1, 0, -2)) if n % 2 == 0 else 0
+        auto_graphs = min(3, n_matchings) if bare and system.geometry is not None else 0
+    if auto_graphs > 0:
         if system.geometry is None:
             raise ValueError("auto_graphs needs a geometry-backed system, not FCIDUMP")
         ranked = distance_ranked_matchings(_distance_matrix(system.geometry),
-                                           spec.auto_graphs)
+                                           auto_graphs)
         rotations.extend(graph_rotation(g, spec.theta) for g in ranked)
     for k in range(spec.random_count):
         rotations.append(random_orthogonal_rotation(n, spec.random_seed + k))
@@ -343,7 +352,8 @@ def prepare_scenario_state(
 ) -> tuple[Statevector, dict]:
     """Scenario I: exact ground state.  Scenario II: optimized pair ansatz."""
     if config.scenario == "I":
-        exact_energy, exact_state = ground_state(op, system.n_electrons)
+        exact_energy, exact_state = ground_state(op, system.n_electrons,
+                                                 config.ordering)
         return exact_state, {"scenario": "I", "exact_energy": exact_energy,
                              "state_energy": exact_energy}
     spec = config.ansatz
@@ -414,12 +424,13 @@ def cmd_integrals(config: ExperimentConfig) -> dict:
 
 
 def cmd_eigen(config: ExperimentConfig) -> dict:
-    """Exact ground energy of the qubit Hamiltonian in the electron sector."""
+    """Exact ground energy of the qubit Hamiltonian in the electron sector
+    (solved on its spin block, see simulator.ground_state)."""
     out = _out_dir(config)
     system = resolve_system(config)
     op = build_qubit_hamiltonian(system.tensors, config.ordering,
                                  config.prune_threshold)
-    energy, _ = ground_state(op, system.n_electrons)
+    energy, _ = ground_state(op, system.n_electrons, config.ordering)
     payload = {
         "system": system.label,
         "ordering": config.ordering,
@@ -483,7 +494,7 @@ def _free_geometry_job(args: tuple) -> dict:
     geometry = build_geometry(n_atoms, spacing, "random", seed)
     tensors = minimal_basis_integrals(geometry)
     op = build_qubit_hamiltonian(tensors, ordering)
-    _, state = ground_state(op, n_atoms)
+    _, state = ground_state(op, n_atoms, ordering)
     ranked = distance_ranked_matchings(_distance_matrix(geometry), auto_graphs)
     rotations = [graph_rotation(g, theta) for g in ranked]
     rotations += [random_orthogonal_rotation(n_atoms, seed * 1000 + k)

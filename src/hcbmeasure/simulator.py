@@ -31,6 +31,7 @@ from .rotations import OrbitalRotation, PairingGraph, givens_factorize
 MAX_QUBITS = 16
 DENSE_EIG_LIMIT = 4096
 NORM_TOL = 1e-10
+LEAK_TOL = 1e-9  # largest element a ground-state block may send out of itself
 RDM_TOL = 1e-10  # largest Hermiticity or trace gap a built RDM may show
 SIGN_BLOCK = 1 << 21  # entries of one pauli_expectations sign matrix (16 MiB)
 
@@ -465,8 +466,8 @@ def optimize_ansatz(
     Multi-start local minimization: ``restarts`` L-BFGS-B runs from seeded
     uniform starting points in [-spread, spread], keeping the best optimum.
     Deterministic in ``seed``.  Returns (best parameters, best energy).
-    Each evaluation is one sparse matvec on the ansatz's particle-number
-    sector (see :func:`_sector_cost`).
+    Each evaluation is one sparse matvec on the ansatz's spin block in its
+    layout (see :func:`_sector_cost`).
     """
     return _minimize(ansatz, _sector_cost(ansatz, op), restarts, seed, spread)
 
@@ -474,12 +475,13 @@ def optimize_ansatz(
 def ground_state_and_ansatz_optimum(
     ansatz: PairAnsatz, op: PauliSum, restarts: int = 6, seed: int = 11
 ) -> tuple[tuple[float, Statevector], tuple[np.ndarray, float]]:
-    """(ground_state(op, N), optimize_ansatz(ansatz, op, restarts, seed)) for
-    the ansatz's electron count N, from one build of op's N-sector matrix."""
+    """(ground_state(op, N, ansatz.ordering), optimize_ansatz(ansatz, op,
+    restarts, seed)) for the ansatz's electron count N, from one build of
+    op's block matrix."""
     _check_ansatz_operator(ansatz, op)
-    sector, mat = _sector_operator(op, ansatz.n_electrons)
-    exact = _sector_ground_state(op.n_qubits, sector, mat)
-    cost = _cost_on_sector(ansatz, sector, mat)
+    block, mat = _block_operator(op, ansatz.n_electrons, ansatz.ordering)
+    exact = _block_ground_state(op.n_qubits, block, mat)
+    cost = _cost_on_block(ansatz, block, mat)
     return exact, _minimize(ansatz, cost, restarts, seed, spread=0.8)
 
 
@@ -509,27 +511,32 @@ def _check_ansatz_operator(ansatz: PairAnsatz, op: PauliSum) -> None:
 
 
 def _sector_cost(ansatz: PairAnsatz, op: PauliSum):
-    """params -> <psi(params)|op|psi(params)> on the ansatz's N-electron sector.
+    """params -> <psi(params)|op|psi(params)> on the ansatz's spin block.
 
-    The ansatz conserves particle number, so the value is <v|M|v> with M
-    op's sector matrix (built here once, by the builder ground_state uses)
-    and v the prepared amplitudes on the sector.  A prepared state with any
-    nonzero amplitude outside the sector raises instead of being projected.
+    Every ansatz gate conserves Nα and Nβ, and the reference puts one
+    electron of each spin per pair, so the value is <v|M|v> with M op's
+    Nα = Nβ block matrix in the ansatz's layout (built here once, by the
+    builder ground_state uses) and v the prepared amplitudes on the block.
+    A prepared state with any nonzero amplitude outside the block raises
+    instead of being projected.
     """
     _check_ansatz_operator(ansatz, op)
-    return _cost_on_sector(ansatz, *_sector_operator(op, ansatz.n_electrons))
+    return _cost_on_block(
+        ansatz, *_block_operator(op, ansatz.n_electrons, ansatz.ordering))
 
 
-def _cost_on_sector(ansatz: PairAnsatz, sector: np.ndarray, mat: scipy.sparse.csr_matrix):
+def _cost_on_block(ansatz: PairAnsatz, block: np.ndarray, mat: scipy.sparse.csr_matrix):
     outside = np.ones(1 << (2 * ansatz.n_orbitals), dtype=bool)
-    outside[sector] = False
+    outside[block] = False
+    half = ansatz.n_electrons // 2
 
     def cost(params: np.ndarray) -> float:
         amps = ansatz.prepare(params).amplitudes
         if np.any(amps[outside]):
             raise ValueError(
-                f"prepared state leaves the {ansatz.n_electrons}-electron sector")
-        v = amps[sector]
+                f"prepared state leaves the {ansatz.n_electrons}-electron sector's "
+                f"(N_alpha, N_beta) = ({half}, {half}) block")
+        v = amps[block]
         return _real_value(np.vdot(v, mat @ v))
 
     return cost
@@ -555,8 +562,8 @@ def _y_phase(x_mask: int, z_mask: int) -> complex:
 def _x_buckets(op: PauliSum) -> dict[int, list[tuple[int, complex]]]:
     """Terms grouped by X-pattern as (z_mask, coeff * i^|x&z|), in term order.
 
-    Every term of a bucket maps basis state b to b ^ x_mask, so callers
-    permute (or index) the amplitudes once per bucket.
+    Every term of a bucket maps basis state b to b ^ x_mask, so the block
+    builder finds each source state's target once per bucket.
     """
     by_x: dict[int, list[tuple[int, complex]]] = {}
     for string, coeff in op.terms():
@@ -607,85 +614,117 @@ def pauli_expectation(state: Statevector, string: PauliString) -> float:
 
 
 def expectation(state: Statevector, op: PauliSum) -> float:
-    """<state| op |state>; terms sharing an X-pattern reuse the permuted vector."""
+    """<state| op |state> = sum_i c_i <P_i>, every <P_i> from one
+    pauli_expectations pass over the state's support."""
     if op.n_qubits != state.n_qubits:
         raise ValueError("operator and state qubit counts differ")
-    amps = state.amplitudes
-    idx = np.arange(len(amps), dtype=np.int64)
-    total = 0.0 + 0.0j
-    for x_mask, entries in _x_buckets(op).items():
-        overlap = np.conj(amps[idx ^ x_mask]) * amps
-        for z_mask, phased in entries:
-            signs = 1.0 - 2.0 * _parity(idx, z_mask)
-            total += phased * np.dot(signs, overlap)
-    return _real_value(total)
+    terms = op.terms()
+    coeffs = np.array([coeff for _, coeff in terms])
+    return float(coeffs @ pauli_expectations(state, [string for string, _ in terms]))
 
 
 # ---------------------------------------------------------------------------
 # ground states
 
 
-def _sector_operator(
-    op: PauliSum, n_electrons: int
-) -> tuple[np.ndarray, scipy.sparse.csr_matrix]:
-    """The basis states with n_electrons set bits, ascending, and op's matrix
-    on them; raises unless the count fits and the matrix is Hermitian."""
+def _spin_block(op: PauliSum, n_electrons: int, ordering: str) -> tuple[np.ndarray, int]:
+    """(block states ascending, Nα): the basis states with n_electrons set
+    bits, Nα = ceil(N/2) of them on the layout's spin-up qubits."""
+    check_ordering(ordering)
     n_qubits = op.n_qubits
+    if n_qubits % 2:
+        raise ValueError(f"operator acts on {n_qubits} qubits, expected two per orbital")
     if not 0 <= n_electrons <= n_qubits:
         raise ValueError(f"n_electrons {n_electrons} out of range for {n_qubits} qubits")
+    n = n_qubits // 2
+    up = sum(1 << spin_orbital_index(k, 0, n, ordering) for k in range(n))
+    n_up = (n_electrons + 1) // 2
     idx = np.arange(1 << n_qubits, dtype=np.int64)
-    sector = idx[np.bitwise_count(idx) == n_electrons]
-    mat = _sector_matrix(op, sector, n_electrons)
-    herm_gap = abs(mat - mat.getH()).max()
-    if herm_gap > 1e-9:
-        raise ValueError(f"operator is not Hermitian on the sector (gap {herm_gap:.3e})")
-    return sector, mat
+    keep = (np.bitwise_count(idx) == n_electrons) & (np.bitwise_count(idx & up) == n_up)
+    return idx[keep], n_up
 
 
-def _sector_matrix(op: PauliSum, sector: np.ndarray, n_electrons: int) -> scipy.sparse.csr_matrix:
-    dim = len(sector)
+def _block_operator(
+    op: PauliSum, n_electrons: int, ordering: str
+) -> tuple[np.ndarray, scipy.sparse.csr_matrix]:
+    """The spin block of n_electrons in the layout (see _spin_block) and
+    op's matrix on it.
+
+    Every element from a block state into the N-electron sector is
+    computed, those that land outside the block too; raises unless each
+    of those is at most LEAK_TOL (op mixes Nα and Nβ, or is read in the
+    wrong layout) and unless the block matrix is Hermitian.  So the block
+    is an invariant subspace of op on the N sector, and an eigenpair of
+    the block matrix is one of op.
+    """
+    block, n_up = _spin_block(op, n_electrons, ordering)
+    position = np.full(1 << op.n_qubits, -1, dtype=np.int64)
+    position[block] = np.arange(len(block))
     rows, cols, vals = [], [], []
+    leak = 0.0
     for x_mask, entries in _x_buckets(op).items():
-        target = sector ^ x_mask
-        valid = np.bitwise_count(target) == n_electrons
-        src = np.nonzero(valid)[0]
+        target = block ^ x_mask
+        src = np.flatnonzero(np.bitwise_count(target) == n_electrons)
         if len(src) == 0:
             continue
-        tgt_states = target[valid]
-        tgt = np.searchsorted(sector, tgt_states)
-        amp = np.zeros(len(src), dtype=complex)
+        sources = block[src]
+        amp = np.zeros(len(src), dtype=complex)  # entry <target| op |source>
         for z_mask, phased in entries:
-            amp += phased * (1.0 - 2.0 * _parity(sector[src], z_mask))
-        # entry <target| P |source>
-        rows.append(tgt)
-        cols.append(src)
-        vals.append(amp)
+            amp += phased * (1.0 - 2.0 * _parity(sources, z_mask))
+        tgt = position[target[src]]
+        inside = tgt >= 0
+        if not np.all(inside):
+            leak = max(leak, float(np.max(np.abs(amp[~inside]))))
+        rows.append(tgt[inside])
+        cols.append(src[inside])
+        vals.append(amp[inside])
+    if leak > LEAK_TOL:
+        raise ValueError(
+            f"operator leaks {leak:.3e} out of the {ordering} layout's "
+            f"(N_alpha, N_beta) = ({n_up}, {n_electrons - n_up}) block; "
+            f"it is not spin-free in that layout")
+    dim = len(block)
     if not rows:
-        return scipy.sparse.csr_matrix((dim, dim), dtype=complex)
-    return scipy.sparse.csr_matrix(
+        return block, scipy.sparse.csr_matrix((dim, dim), dtype=complex)
+    mat = scipy.sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    )
+        shape=(dim, dim))
+    herm_gap = abs(mat - mat.getH()).max()
+    if herm_gap > 1e-9:
+        raise ValueError(f"operator is not Hermitian on the block (gap {herm_gap:.3e})")
+    return block, mat
 
 
-def ground_state(op: PauliSum, n_electrons: int) -> tuple[float, Statevector]:
-    """Lowest eigenpair of op restricted to the n_electrons occupation sector.
+def ground_state(
+    op: PauliSum, n_electrons: int, ordering: str = "interleaved"
+) -> tuple[float, Statevector]:
+    """Lowest eigenpair of op on the spin block of the n_electrons sector.
+
+    The block holds the basis states with n_electrons set bits, ceil(N/2)
+    of them on the spin-up qubits of the given layout (Nα = Nβ, or
+    Nα = Nβ + 1 for odd N).  Every operator build_qubit_hamiltonian
+    returns is spin-free, and each spin multiplet of a spin-free operator
+    has a member with M_s = 0 (or +1/2), so the block's lowest energy is
+    the N sector's; for a degenerate ground state the returned vector is
+    that member.  The block builder raises when op moves a block state
+    elsewhere in the N sector (see _block_operator), so a wrong layout or
+    a spin-mixing operator fails instead of returning a block-only answer.
 
     Uses a dense solve for the lowest eigenpair only up to the dense cutoff
-    (ARPACK cannot take 1-dimensional sectors), iterative (Lanczos-type)
+    (ARPACK cannot take 1-dimensional blocks), iterative (Lanczos-type)
     diagonalization above it, and verifies the eigenpair residual before
     returning.  Lanczos starts from a fixed generic (seeded normal) vector,
     so the result is the same in every process.
     """
-    return _sector_ground_state(op.n_qubits, *_sector_operator(op, n_electrons))
+    return _block_ground_state(op.n_qubits, *_block_operator(op, n_electrons, ordering))
 
 
-def _sector_ground_state(
-    n_qubits: int, sector: np.ndarray, mat: scipy.sparse.csr_matrix
+def _block_ground_state(
+    n_qubits: int, block: np.ndarray, mat: scipy.sparse.csr_matrix
 ) -> tuple[float, Statevector]:
     energy, vec = _lowest_eigenpair(mat)
     full = np.zeros(1 << n_qubits, dtype=complex)
-    full[sector] = vec
+    full[block] = vec
     return energy, Statevector(n_qubits, full)
 
 

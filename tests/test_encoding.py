@@ -167,7 +167,8 @@ def test_ground_energy_matches_between_orderings(h2_tensors):
     from hcbmeasure.simulator import ground_state
 
     e_int, _ = ground_state(build_qubit_hamiltonian(h2_tensors, "interleaved"), 2)
-    e_reo, _ = ground_state(build_qubit_hamiltonian(h2_tensors, "reordered"), 2)
+    e_reo, _ = ground_state(build_qubit_hamiltonian(h2_tensors, "reordered"), 2,
+                            ordering="reordered")
     assert abs(e_int - e_reo) < 1e-10
 
 

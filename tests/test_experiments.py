@@ -1,6 +1,7 @@
 """Experiment harness and CLI: every verb on the H4 line, determinism, errors."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -173,3 +174,65 @@ def test_scenario_two_rejects_an_ansatz_of_another_electron_count(tmp_path):
     })
     with pytest.raises(ValueError, match="prepares 2 electrons .*the system has 4"):
         cmd_decompose(config)
+
+
+def _cli(tmp_path, capsys, verb, text):
+    """Run one verb on a YAML config through the CLI; (exit code, stdout JSON or stderr JSON)."""
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    config = tmp_path / f"{verb}.yaml"
+    config.write_text(text)
+    code = main([verb, "--config", str(config), "--out", str(tmp_path / verb)])
+    captured = capsys.readouterr()
+    return code, json.loads(captured.out if code == 0 else captured.err)
+
+
+@pytest.mark.parametrize("verb", ["decompose", "groups", "shots", "depth"])
+def test_rotation_verbs_run_under_the_default_config(tmp_path, capsys, verb):
+    """With no rotations section, the H4 line takes its 3 ranked matchings."""
+    code, payload = _cli(tmp_path, capsys, verb, "{}\n")
+    assert code == 0
+    if verb == "depth":
+        assert len(payload["rotations"]) == 3
+    elif verb != "shots":
+        assert payload["n_steps"] == 3
+
+
+def test_default_rotation_set_yields_to_explicit_values(tmp_path, capsys):
+    code, payload = _cli(tmp_path, capsys, "groups",
+                         "rotations: {graphs: ['0-1,2-3']}\n")
+    assert (code, payload["n_steps"]) == (0, 1)
+    code, error = _cli(tmp_path, capsys, "groups", "rotations: {auto_graphs: 0}\n")
+    assert code == 1 and "the rotation set is empty" in error["message"]
+
+
+def test_fcidump_system_keeps_the_empty_rotation_set_error(tmp_path, capsys):
+    fcidump = Path(__file__).parent / "data" / "h4_line_1p5_external.fcidump"
+    code, error = _cli(tmp_path, capsys, "depth", f"system: {{fcidump: {fcidump}}}\n")
+    assert code == 1 and "the rotation set is empty" in error["message"]
+
+
+REORDERED_H4 = """\
+system: {shape: line, n_atoms: 4, spacing: 1.5}
+rotations: {auto_graphs: 3}
+ordering: reordered
+"""
+
+
+def test_reordered_layout_reaches_every_ground_state_caller(tmp_path, capsys):
+    """eigen and decompose in Scenario I and decompose in Scenario II all
+    solve the ground state in the reordered layout."""
+    code, reordered = _cli(tmp_path / "reordered", capsys, "eigen", REORDERED_H4)
+    assert code == 0
+    code, interleaved = _cli(tmp_path / "interleaved", capsys, "eigen",
+                             REORDERED_H4.replace("reordered", "interleaved"))
+    assert code == 0
+    assert reordered["ordering"] == "reordered"
+    assert abs(reordered["ground_energy"] - interleaved["ground_energy"]) < 1e-10
+    code, payload = _cli(tmp_path / "one", capsys, "decompose", REORDERED_H4)
+    assert code == 0
+    assert payload["exact_energy"] == reordered["ground_energy"]
+    code, payload = _cli(tmp_path / "two", capsys, "decompose", REORDERED_H4 + (
+        "scenario: II\nansatz: {graphs: ['0-1,2-3'], restarts: 1}\n"))
+    assert code == 0
+    assert payload["exact_energy"] == reordered["ground_energy"]
+    assert payload["state_energy"] >= payload["exact_energy"]

@@ -245,7 +245,7 @@ def test_rdm_contraction_matches_pauli_path_on_ground_states(
         request, system, ordering):
     tensors = request.getfixturevalue(f"{system}_tensors")
     op = build_qubit_hamiltonian(tensors, ordering, 0.0)
-    _, state = ground_state(op, tensors.n_orbitals)
+    _, state = ground_state(op, tensors.n_orbitals, ordering=ordering)
     one_rdm, two_rdm = spin_summed_rdms(state, ordering)
     assert abs(rdm_expectation(tensors, one_rdm, two_rdm)
                - expectation(state, op)) < 1e-12

@@ -7,7 +7,7 @@ from conftest import full_vector_expectation
 from scipy.linalg import expm
 
 import hcbmeasure.simulator as simulator
-from hcbmeasure.encoding import build_qubit_hamiltonian, spin_orbital_index
+from hcbmeasure.encoding import ORDERINGS, build_qubit_hamiltonian, spin_orbital_index
 from hcbmeasure.grouping import si_grouping
 from hcbmeasure.groups import CommutingGroup
 from hcbmeasure.integrals import IntegralTensors
@@ -23,7 +23,9 @@ from hcbmeasure.simulator import (
     Statevector,
     XGate,
     _lowest_eigenpair,
+    _parity,
     _sector_cost,
+    _x_buckets,
     apply_circuit,
     build_pair_ansatz,
     circuit_unitary,
@@ -267,13 +269,105 @@ def test_ground_state_h2_anchor(h2_operator):
     assert abs(expectation(state, h2_operator) - energy) < 1e-10
 
 
+def _n_sector_matrix(op: PauliSum, n_electrons: int):
+    """Oracle: the basis states with n_electrons set bits, ascending, and
+    op's matrix on all of them, whatever their spin counts."""
+    idx = np.arange(1 << op.n_qubits, dtype=np.int64)
+    sector = idx[np.bitwise_count(idx) == n_electrons]
+    rows, cols, vals = [], [], []
+    for x_mask, entries in _x_buckets(op).items():
+        target = sector ^ x_mask
+        src = np.flatnonzero(np.bitwise_count(target) == n_electrons)
+        amp = np.zeros(len(src), dtype=complex)
+        for z_mask, phased in entries:
+            amp += phased * (1.0 - 2.0 * _parity(sector[src], z_mask))
+        rows.append(np.searchsorted(sector, target[src]))
+        cols.append(src)
+        vals.append(amp)
+    dim = len(sector)
+    mat = scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim))
+    assert abs(mat - mat.getH()).max() <= 1e-9
+    return sector, mat
+
+
+def _n_sector_ground_state(op: PauliSum, n_electrons: int):
+    """Oracle: the lowest eigenpair of op on the whole n_electrons sector."""
+    sector, mat = _n_sector_matrix(op, n_electrons)
+    energy, vec = _lowest_eigenpair(mat)
+    full = np.zeros(1 << op.n_qubits, dtype=complex)
+    full[sector] = vec
+    return energy, full
+
+
+def _spin_counts(state: Statevector, ordering: str) -> set[tuple[int, int]]:
+    """The (N_alpha, N_beta) of every basis state in the state's support."""
+    n = state.n_qubits // 2
+    up = sum(1 << spin_orbital_index(k, 0, n, ordering) for k in range(n))
+    support = np.flatnonzero(state.amplitudes)
+    n_up = np.bitwise_count(support & up)
+    return set(zip(n_up.tolist(), (np.bitwise_count(support) - n_up).tolist()))
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+@pytest.mark.parametrize("system", ["h2", "h4", "h6"])
+def test_ground_state_matches_the_n_sector_oracle(request, system, ordering):
+    tensors = request.getfixturevalue(f"{system}_tensors")
+    op = build_qubit_hamiltonian(tensors, ordering)
+    n = tensors.n_orbitals
+    energy, state = ground_state(op, n, ordering=ordering)
+    want_energy, want_vec = _n_sector_ground_state(op, n)
+    assert abs(energy - want_energy) < 1e-10
+    assert abs(np.vdot(want_vec, state.amplitudes)) >= 1 - 1e-12
+    assert _spin_counts(state, ordering) == {(n // 2, n // 2)}
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+def test_ground_state_of_odd_n_is_an_eigenvector_of_the_n_sector(h4_tensors, ordering):
+    """N = 3 on the H4 line: the doublet's M_s = +1/2 member, N_alpha = N_beta + 1.
+
+    The ground level is degenerate on the N sector, so the oracle vector may
+    be any member; the block vector must be an eigenvector of the whole
+    sector matrix with the oracle's energy.
+    """
+    op = build_qubit_hamiltonian(h4_tensors, ordering)
+    energy, state = ground_state(op, 3, ordering=ordering)
+    want_energy, _ = _n_sector_ground_state(op, 3)
+    assert abs(energy - want_energy) < 1e-10
+    assert _spin_counts(state, ordering) == {(2, 1)}
+    sector, mat = _n_sector_matrix(op, 3)
+    v = state.amplitudes[sector]
+    assert np.linalg.norm(mat @ v - energy * v) < 1e-8
+
+
 def test_ground_state_respects_sector(h2_operator):
     energy0, state0 = ground_state(h2_operator, 0)
-    for basis, amp in enumerate(state0.amplitudes):
-        if abs(amp) > 1e-12:
-            assert bin(basis).count("1") == 0
-    with pytest.raises(ValueError):
-        ground_state(h2_operator, 5)
+    assert np.flatnonzero(state0.amplitudes).tolist() == [0]
+    assert energy0 == pytest.approx(_n_sector_ground_state(h2_operator, 0)[0], abs=1e-12)
+    for n_electrons in (-1, 5):
+        with pytest.raises(ValueError, match=f"n_electrons {n_electrons} out of range"):
+            ground_state(h2_operator, n_electrons)
+
+
+def test_ground_state_rejects_an_operator_read_in_the_wrong_layout(h4_tensors):
+    """A reordered H4 operator moves interleaved N_alpha = N_beta states elsewhere."""
+    op = build_qubit_hamiltonian(h4_tensors, "reordered")
+    with pytest.raises(ValueError, match=r"leaks 1\.428e-01 out of the interleaved "
+                                         r"layout's \(N_alpha, N_beta\) = \(2, 2\) block"):
+        ground_state(op, 4)
+    with pytest.raises(ValueError, match="unknown ordering"):
+        ground_state(op, 4, ordering="scrambled")
+
+
+@pytest.mark.parametrize("system", ["h4", "h6"])
+def test_ground_state_is_bit_identical_across_calls(request, system):
+    op = request.getfixturevalue(f"{system}_operator")
+    n = op.n_qubits // 2
+    energy, state = ground_state(op, n)
+    again, state_again = ground_state(op, n)
+    assert energy == again
+    assert np.array_equal(state.amplitudes, state_again.amplitudes)
 
 
 def test_expectation_basics():
