@@ -495,7 +495,8 @@ def _free_geometry_job(args: tuple) -> dict:
     tensors = minimal_basis_integrals(geometry)
     op = build_qubit_hamiltonian(tensors, ordering)
     _, state = ground_state(op, n_atoms, ordering)
-    ranked = distance_ranked_matchings(_distance_matrix(geometry), auto_graphs)
+    ranked = (distance_ranked_matchings(_distance_matrix(geometry), auto_graphs)
+              if auto_graphs else [])
     rotations = [graph_rotation(g, theta) for g in ranked]
     rotations += [random_orthogonal_rotation(n_atoms, seed * 1000 + k)
                   for k in range(random_rotations)]
@@ -522,9 +523,16 @@ def _cmd_decompose_batch(config: ExperimentConfig) -> dict:
         raise ValueError("batch mode generates its own random geometries; "
                          "use a shape-based system section")
     error_target = 2e-3
-    # default: the top 5 pairing graphs, or all (n-1)!! when there are fewer
-    n_matchings = math.prod(range(spec.n_atoms - 1, 0, -2))
-    auto_graphs = config.rotations.auto_graphs or min(5, n_matchings)
+    # default: the top 5 pairing graphs, or all (n-1)!! when there are
+    # fewer (none for odd n); an explicit auto_graphs, 0 included, wins
+    n = spec.n_atoms
+    n_matchings = math.prod(range(n - 1, 0, -2)) if n % 2 == 0 else 0
+    auto_graphs = config.rotations.auto_graphs
+    if auto_graphs is None:
+        auto_graphs = min(5, n_matchings)
+    if not auto_graphs and not batch.random_rotations:
+        raise ValueError("the rotation set is empty; give auto_graphs or "
+                         "batch random_rotations")
     jobs = [
         (batch.seed + k, spec.n_atoms, spec.spacing, config.ordering,
          auto_graphs, batch.random_rotations, config.rotations.theta,

@@ -9,6 +9,7 @@ clear afterwards, so the loop terminates.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,55 +93,66 @@ class CommutingGroup:
         return out
 
 
+def _mask_rows(
+    strings: Sequence[PauliString], n_qubits: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x masks, z masks and zeroed sign bits of the strings, one row each.
+
+    The masks are held in the smallest unsigned dtype that fits n_qubits
+    bits (Python ints in an object array beyond 64 qubits).
+    """
+    if any(s.n_qubits != n_qubits for s in strings):
+        raise ValueError("string and circuit qubit counts differ")
+    dtype = np.min_scalar_type((1 << n_qubits) - 1)
+    x = np.array([s.x_mask for s in strings], dtype=dtype)
+    z = np.array([s.z_mask for s in strings], dtype=dtype)
+    return x, z, np.zeros_like(x)
+
+
+def _conjugate_rows(
+    x: np.ndarray, z: np.ndarray, flip: np.ndarray, gates: Sequence[CliffordGate]
+) -> None:
+    """Send every row (-1)^flip P(x, z) to C P C^dagger, in place.
+
+    Each gate updates all rows at once by the symplectic tableau rules
+    (Aaronson & Gottesman, quant-ph/0406196): H swaps the qubit's x and z
+    bits, S adds x into z, CNOT copies the control's x into the target and
+    the target's z into the control, CZ adds each qubit's x into the
+    other's z.  flip collects the sign each gate contributes.
+    """
+    for gate in gates:
+        if gate.name in ("CNOT", "CZ"):
+            a, b = gate.qubits
+            xa, za = (x >> a) & 1, (z >> a) & 1
+            xb, zb = (x >> b) & 1, (z >> b) & 1
+            if gate.name == "CNOT":  # a controls b
+                flip ^= xa & zb & (1 ^ xb ^ za)
+                x ^= xa << b
+                z ^= zb << a
+            else:
+                flip ^= xa & xb & (za ^ zb)
+                z ^= xb << a
+                z ^= xa << b
+            continue
+        (q,) = gate.qubits
+        xq, zq = (x >> q) & 1, (z >> q) & 1
+        if gate.name == "H":
+            flip ^= xq & zq
+            swap = (xq ^ zq) << q
+            x ^= swap
+            z ^= swap
+        elif gate.name == "S":
+            flip ^= xq & zq
+            z ^= xq << q
+        else:  # X
+            flip ^= zq
+
+
 def conjugate_pauli(string: PauliString, circuit: CliffordCircuit) -> tuple[PauliString, int]:
     """Image (C P C^dagger, sign) of a Pauli string under the circuit's gates."""
-    if string.n_qubits != circuit.n_qubits:
-        raise ValueError("string and circuit qubit counts differ")
-    x, z = string.x_mask, string.z_mask
-    sign = 1
-    for gate in circuit.gates:
-        if gate.name == "H":
-            (q,) = gate.qubits
-            bit = 1 << q
-            xb, zb = x & bit, z & bit
-            if xb and zb:
-                sign = -sign
-            x = (x & ~bit) | zb
-            z = (z & ~bit) | xb
-        elif gate.name == "S":
-            (q,) = gate.qubits
-            bit = 1 << q
-            if x & bit:
-                if z & bit:
-                    sign = -sign
-                z ^= bit
-        elif gate.name == "X":
-            (q,) = gate.qubits
-            if z & (1 << q):
-                sign = -sign
-        elif gate.name == "CNOT":
-            c, t = gate.qubits
-            cb, tb = 1 << c, 1 << t
-            xc, zc = bool(x & cb), bool(z & cb)
-            xt, zt = bool(x & tb), bool(z & tb)
-            if xc and zt and (xt == zc):
-                sign = -sign
-            if xc:
-                x ^= tb
-            if zt:
-                z ^= cb
-        elif gate.name == "CZ":
-            a, b = gate.qubits
-            ab, bb = 1 << a, 1 << b
-            xa, za = bool(x & ab), bool(z & ab)
-            xb_, zb_ = bool(x & bb), bool(z & bb)
-            if xa and xb_ and (za != zb_):
-                sign = -sign
-            if xb_:
-                z ^= ab
-            if xa:
-                z ^= bb
-    return PauliString(circuit.n_qubits, x, z), sign
+    x, z, flip = _mask_rows([string], circuit.n_qubits)
+    _conjugate_rows(x, z, flip, circuit.gates)
+    return PauliString(circuit.n_qubits, int(x[0]), int(z[0])), -1 if flip[0] else 1
 
 
 def diagonalizing_circuit(group: CommutingGroup) -> CliffordCircuit:
@@ -153,32 +165,31 @@ def diagonalizing_circuit(group: CommutingGroup) -> CliffordCircuit:
     group.check_commuting()
     n = group.n_qubits
     circuit = CliffordCircuit(n)
-    rows = [[s.x_mask, s.z_mask] for s, _ in group.members]
+    x, z, flip = _mask_rows(group.strings(), n)
 
     def apply_gate(name: str, *qubits: int) -> None:
         circuit.add(name, *qubits)
-        probe = CliffordCircuit(n, [circuit.gates[-1]])
-        for row in rows:
-            img, _ = conjugate_pauli(PauliString(n, row[0], row[1]), probe)
-            row[0], row[1] = img.x_mask, img.z_mask
+        _conjugate_rows(x, z, flip, circuit.gates[-1:])
 
     done_qubits = 0  # bitmask of qubits already locked to Z-only columns
-    for _round in range(2 * n * max(1, len(rows))):
-        pivot_row = next((r for r in rows if r[0] != 0), None)
-        if pivot_row is None:
+    for _round in range(2 * n * max(1, len(x))):
+        live = np.flatnonzero(x)
+        if not len(live):
             return circuit
-        j = (pivot_row[0] & -pivot_row[0]).bit_length() - 1
+        p = live[0]  # the pivot row, re-read after every gate
+        pivot_x = int(x[p])
+        j = (pivot_x & -pivot_x).bit_length() - 1
         if done_qubits & (1 << j):
             raise ValueError("diagonalization stalled on a processed qubit")
-        if pivot_row[1] & (1 << j):
+        if int(z[p]) >> j & 1:
             apply_gate("S", j)
         for t in range(n):
-            if t != j and pivot_row[0] & (1 << t):
+            if t != j and int(x[p]) >> t & 1:
                 apply_gate("CNOT", j, t)
         for t in range(n):
-            if t != j and pivot_row[1] & (1 << t):
+            if t != j and int(z[p]) >> t & 1:
                 apply_gate("CZ", j, t)
-        if pivot_row[1] & (1 << j):
+        if int(z[p]) >> j & 1:
             apply_gate("S", j)
         apply_gate("H", j)
         done_qubits |= 1 << j
@@ -192,10 +203,10 @@ def diagonalized_members(
 
     Certifies the result: every image must be diagonal.
     """
-    out = []
-    for string, coeff in group.members:
-        image, sign = conjugate_pauli(string, circuit)
-        if not image.is_diagonal():
-            raise ValueError(f"circuit failed to diagonalize {string}")
-        out.append((image, sign * coeff))
-    return out
+    x, z, flip = _mask_rows(group.strings(), circuit.n_qubits)
+    _conjugate_rows(x, z, flip, circuit.gates)
+    left = np.flatnonzero(x)
+    if len(left):
+        raise ValueError(f"circuit failed to diagonalize {group.members[left[0]][0]}")
+    return [(PauliString(circuit.n_qubits, 0, image), -coeff if negate else coeff)
+            for (_, coeff), image, negate in zip(group.members, z.tolist(), flip.tolist())]

@@ -19,6 +19,8 @@ _PHASES = (1.0, 1.0j, -1.0, -1.0j)
 
 _LETTER_TO_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
+ANTICOMMUTE_BLOCK = 1 << 18  # mask-pair entries of one anticommutation_matrix block
+
 
 def _check_masks(n_qubits: int, x_mask: int, z_mask: int) -> None:
     if n_qubits < 1:
@@ -117,10 +119,16 @@ def anticommutation_matrix(strings: Sequence[PauliString]) -> np.ndarray:
     dtype = np.min_scalar_type((1 << n_qubits) - 1)
     x = np.array([s.x_mask for s in strings], dtype=dtype)
     z = np.array([s.z_mask for s in strings], dtype=dtype)
-    # |a| + |b| and |a ^ b| have equal parity (a = x_i & z_j, b = z_i & x_j)
-    symplectic = x[:, None] & z
-    symplectic ^= z[:, None] & x
-    return (np.bitwise_count(symplectic) & 1).astype(bool)
+    out = np.empty((len(x), len(x)), dtype=bool)
+    # row blocks bound the mask matrices to ANTICOMMUTE_BLOCK entries each
+    step = max(1, ANTICOMMUTE_BLOCK // max(1, len(x)))
+    for start in range(0, len(x), step):
+        rows = slice(start, start + step)
+        # |a| + |b| and |a ^ b| have equal parity (a = x_i & z_j, b = z_i & x_j)
+        symplectic = x[rows, None] & z
+        symplectic ^= z[rows, None] & x
+        out[rows] = np.bitwise_count(symplectic) & 1
+    return out
 
 
 def multiply(a: PauliString, b: PauliString) -> tuple[PauliString, complex]:

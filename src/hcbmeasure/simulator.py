@@ -35,13 +35,7 @@ LEAK_TOL = 1e-9  # largest element a ground-state block may send out of itself
 RDM_TOL = 1e-10  # largest Hermiticity or trace gap a built RDM may show
 SIGN_BLOCK = 1 << 21  # entries of one pauli_expectations sign matrix (16 MiB)
 
-_H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-_S_MATRIX = np.array([[1.0, 0.0], [0.0, 1.0j]])
-_X_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]])
-_CNOT_MATRIX = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float
-)
-_CZ_MATRIX = np.diag([1.0, 1.0, 1.0, -1.0])
+_SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
 @dataclass
@@ -269,17 +263,6 @@ def _apply_pair_hop(amps: np.ndarray, circuit: Circuit, gate: PairGivensGate) ->
     return out
 
 
-def _apply_matrix(amps: np.ndarray, n_qubits: int, qubits: tuple[int, ...], mat: np.ndarray) -> np.ndarray:
-    k = len(qubits)
-    arr = amps.reshape((2,) * n_qubits)
-    # bit j lives on axis n_qubits-1-j; gate matrix index orders qubits[0] high
-    axes = [n_qubits - 1 - q for q in qubits]
-    tensor = mat.reshape((2,) * (2 * k))
-    arr = np.tensordot(tensor, arr, axes=(list(range(k, 2 * k)), axes))
-    arr = np.moveaxis(arr, list(range(k)), axes)
-    return arr.reshape(-1)
-
-
 def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
     if state.n_qubits != circuit.n_qubits:
         raise ValueError("state and circuit qubit counts differ")
@@ -303,24 +286,55 @@ def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
     return Statevector(n, amps)
 
 
+def _bits_view(tensor: np.ndarray, *fixed: tuple[int, int]) -> np.ndarray:
+    """View of the amplitudes whose (qubit, bit) pairs in `fixed` hold.
+
+    `tensor` is the state reshaped to (2,)*n, where bit j of a basis index
+    lives on axis n-1-j.  Slices, not integers, keep every axis, so even a
+    view with every qubit fixed stays an array that writes through.
+    """
+    index = [slice(None)] * tensor.ndim
+    for qubit, bit in fixed:
+        index[tensor.ndim - 1 - qubit] = slice(bit, bit + 1)
+    return tensor[tuple(index)]
+
+
+def _swap(a: np.ndarray, b: np.ndarray) -> None:
+    kept = a.copy()
+    a[...] = b
+    b[...] = kept
+
+
 def apply_clifford(state: Statevector, circuit: CliffordCircuit) -> Statevector:
-    """Apply an H/S/CNOT/CZ/X gate list to the state."""
+    """Apply an H/S/CNOT/CZ/X gate list to the state.
+
+    Every gate acts in place on strided views of one working copy of the
+    amplitudes; the input state is left unchanged.
+    """
     if state.n_qubits != circuit.n_qubits:
         raise ValueError("state and circuit qubit counts differ")
-    amps = state.amplitudes
-    n = state.n_qubits
+    amps = state.amplitudes.copy()
+    tensor = amps.reshape((2,) * state.n_qubits)
     for gate in circuit.gates:
-        if gate.name == "H":
-            amps = _apply_matrix(amps, n, gate.qubits, _H_MATRIX)
-        elif gate.name == "S":
-            amps = _apply_matrix(amps, n, gate.qubits, _S_MATRIX)
-        elif gate.name == "X":
-            amps = _apply_matrix(amps, n, gate.qubits, _X_MATRIX)
-        elif gate.name == "CNOT":
-            amps = _apply_matrix(amps, n, gate.qubits, _CNOT_MATRIX)
+        if gate.name == "CNOT":
+            c, t = gate.qubits
+            _swap(_bits_view(tensor, (c, 1), (t, 0)), _bits_view(tensor, (c, 1), (t, 1)))
         elif gate.name == "CZ":
-            amps = _apply_matrix(amps, n, gate.qubits, _CZ_MATRIX)
-    return Statevector(n, amps)
+            a, b = gate.qubits
+            _bits_view(tensor, (a, 1), (b, 1))[...] *= -1.0
+        else:
+            (q,) = gate.qubits
+            low, high = _bits_view(tensor, (q, 0)), _bits_view(tensor, (q, 1))
+            if gate.name == "H":
+                total = low + high
+                np.subtract(low, high, out=high)
+                high *= _SQRT_HALF
+                np.multiply(total, _SQRT_HALF, out=low)
+            elif gate.name == "S":
+                high *= 1j
+            else:  # X
+                _swap(low, high)
+    return Statevector(state.n_qubits, amps)
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -762,38 +776,47 @@ class GroupSample:
 class _PreparedGroup:
     """A group made ready to sample on one state.
 
-    members: (diagonal image, folded coefficient) per member, where
-    folded = sign * original coefficient; signs carries that sign back to
-    the original string's estimate.  probs: outcome distribution of the
-    state after the diagonalizing circuit.
+    z_masks and folded: each member's diagonal image and folded coefficient
+    (sign * original coefficient); signs carries that sign back to the
+    original string's estimate.  cdf: cumulative outcome distribution of
+    the state after the diagonalizing circuit, built as Generator.choice
+    builds it, so a draw consumes the same random stream as
+    rng.choice(len(p), size=shots, p=p).
     """
 
     label: str
-    members: list[tuple[PauliString, float]]
-    signs: list[float]
-    probs: np.ndarray
+    z_masks: np.ndarray
+    folded: np.ndarray
+    signs: np.ndarray
+    cdf: np.ndarray
 
     @classmethod
     def build(cls, state: Statevector, group: CommutingGroup) -> "_PreparedGroup":
         diag = diagonalizing_circuit(group)
         members = diagonalized_members(group, diag)
-        signs = [1.0 if folded == orig else -1.0
-                 for (_, folded), (_, orig) in zip(members, group.members)]
+        z_masks = np.array([image.z_mask for image, _ in members], dtype=np.int64)
+        folded = np.array([coeff for _, coeff in members], dtype=float)
+        # folding negates, which flips the sign bit of a zero coefficient too
+        signs = np.copysign(1.0, folded) * np.copysign(1.0, [c for _, c in group.members])
         probs = apply_clifford(state, diag).probabilities()
-        return cls(group.label, members, signs, probs / probs.sum())
+        cdf = (probs / probs.sum()).cumsum()
+        cdf /= cdf[-1]
+        return cls(group.label, z_masks, folded, signs, cdf)
+
+    def outcomes(self, shots: int, rng: np.random.Generator) -> np.ndarray:
+        return self.cdf.searchsorted(rng.random(shots), side="right")
 
     def draw(self, shots: int, rng: np.random.Generator) -> GroupSample:
-        outcomes = rng.choice(len(self.probs), size=shots, p=self.probs)
-        values, counts = np.unique(outcomes, return_counts=True)
+        values, counts = np.unique(self.outcomes(shots, rng), return_counts=True)
         weights = counts / shots
-        estimates = np.empty(len(self.members))
-        energy = 0.0
-        for k, ((image, folded_coeff), sign) in enumerate(zip(self.members, self.signs)):
-            parity = 1.0 - 2.0 * _parity(values, image.z_mask)
-            diag_mean = float(np.dot(weights, parity))
-            estimates[k] = sign * diag_mean
-            energy += folded_coeff * diag_mean
-        return GroupSample(self.label, shots, estimates, energy)
+        # <Z-string> per member: a members x outcomes sign matrix against
+        # the outcome weights, at most SIGN_BLOCK entries at a time
+        means = np.empty(len(self.z_masks))
+        step = max(1, SIGN_BLOCK // len(values))
+        for start in range(0, len(means), step):
+            block = self.z_masks[start:start + step, None]
+            means[start:start + step] = (1.0 - 2.0 * _parity(values, block)) @ weights
+        return GroupSample(self.label, shots, self.signs * means, float(self.folded @ means))
 
 
 def sample_group(
@@ -849,7 +872,12 @@ def finite_sample_experiment(
 
     The exact reference is the sum of exact group expectations, so the
     reported errors isolate sampling noise for the measured operator set.
-    Each entry is diagonalized and rotated once; repetitions only draw.
+    Each entry is prepared once: its commutation is certified, its
+    diagonalizing circuit built and applied, and the outcome CDF formed.
+    A repetition then only draws: ceil(shots) (at least one) uniforms from
+    the one generator seeded by `seed`, located in the CDF as
+    Generator.choice(p=...) would locate them, and one members x outcomes
+    parity product turns the outcome counts into every member's estimate.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")

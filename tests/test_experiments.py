@@ -92,6 +92,36 @@ def test_batch_decompose_rejects_too_many_explicit_graphs(tmp_path):
         cmd_decompose(config)
 
 
+def _batch_rows(tmp_path, n_atoms, rotations=None, random_rotations=1):
+    data = {
+        "system": {"n_atoms": n_atoms},
+        "batch": {"count": 1, "random_rotations": random_rotations},
+        "output_dir": str(tmp_path),
+    }
+    if rotations is not None:
+        data["rotations"] = rotations
+    cmd_decompose(config_from_dict(data))
+    return (tmp_path / "batch.csv").read_text().splitlines()[1:]
+
+
+@pytest.mark.parametrize("rotations", [None, {"auto_graphs": 0}])
+def test_batch_decompose_runs_odd_atom_counts_on_random_rotations(tmp_path, rotations):
+    """H3 has no perfect matching, so only the random rotation runs."""
+    rows = _batch_rows(tmp_path, 3, rotations)
+    assert [row.split(",")[1] for row in rows] == ["1"]
+
+
+def test_batch_decompose_keeps_an_explicit_zero_graph_count(tmp_path):
+    rows = _batch_rows(tmp_path, 4, {"auto_graphs": 0}, random_rotations=2)
+    assert [row.split(",")[1] for row in rows] == ["2"]
+
+
+@pytest.mark.parametrize("n_atoms,rotations", [(3, None), (4, {"auto_graphs": 0})])
+def test_batch_decompose_rejects_an_empty_rotation_set(tmp_path, n_atoms, rotations):
+    with pytest.raises(ValueError, match="the rotation set is empty"):
+        _batch_rows(tmp_path, n_atoms, rotations, random_rotations=0)
+
+
 def test_batch_decompose_is_byte_identical_across_worker_counts(tmp_path):
     files = []
     for workers in (1, 2):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hcbmeasure.paulis as paulis
 from hcbmeasure.paulis import PauliString, PauliSum, anticommutation_matrix, multiply
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -148,6 +149,22 @@ def test_anticommutation_matrix_is_the_popcount_parity(strings):
     assert anti.tolist() == parity
     assert (anti == anti.T).all()
     assert not anti.diagonal().any()
+
+
+@pytest.mark.parametrize("block", [1, 7, paulis.ANTICOMMUTE_BLOCK])
+def test_anticommutation_matrix_row_blocks_agree(monkeypatch, block):
+    """A small ANTICOMMUTE_BLOCK splits the matrix into row blocks (down to
+    one row each) without changing an entry."""
+    monkeypatch.setattr(paulis, "ANTICOMMUTE_BLOCK", block)
+    rng = np.random.default_rng(3)
+    strings = [PauliString(10, int(x), int(z))
+               for x, z in rng.integers(0, 1 << 10, size=(40, 2))]
+    parity = [
+        [((a.x_mask & b.z_mask).bit_count() + (a.z_mask & b.x_mask).bit_count()) % 2 == 1
+         for b in strings]
+        for a in strings
+    ]
+    assert anticommutation_matrix(strings).tolist() == parity
 
 
 def test_anticommutation_matrix_rejects_mixed_and_wide_strings():

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 import hcbmeasure.simulator as simulator
 from hcbmeasure.encoding import ORDERINGS, build_qubit_hamiltonian, spin_orbital_index
 from hcbmeasure.grouping import si_grouping
-from hcbmeasure.groups import CommutingGroup
+from hcbmeasure.groups import CommutingGroup, diagonalized_members, diagonalizing_circuit
 from hcbmeasure.integrals import IntegralTensors
 from hcbmeasure.paulis import PauliString, PauliSum
 from hcbmeasure.rotations import distance_ranked_matchings, givens_matrix, rotate_integrals
@@ -25,8 +25,10 @@ from hcbmeasure.simulator import (
     _lowest_eigenpair,
     _parity,
     _sector_cost,
+    _PreparedGroup,
     _x_buckets,
     apply_circuit,
+    apply_clifford,
     build_pair_ansatz,
     circuit_unitary,
     expectation,
@@ -447,6 +449,66 @@ def test_sample_group_unbiased_on_superposition():
     # <Z> = 0; the averaged estimate should sit within 3 sigma of 0
     sigma = 1.0 / np.sqrt(10_000 * 20)
     assert abs(np.mean(estimates)) < 3 * sigma
+
+
+@pytest.mark.parametrize("coeff", [1.0, 0.0, -0.0])
+def test_member_estimates_keep_the_folded_sign_of_zero_coefficients(coeff):
+    """Y0 diagonalizes to -Z0; <Y0> = 1 on (|0> + i|1>)/sqrt(2)."""
+    state = Statevector(1, np.array([1.0, 1.0j]) / np.sqrt(2.0))
+    group = CommutingGroup(1, ((PauliString.from_label(1, "Y0"), coeff),))
+    sample = sample_group(state, group, shots=50, rng=np.random.default_rng(0))
+    assert sample.member_estimates.tolist() == [1.0]
+
+
+STREAM_PROBABILITIES = {
+    "spread": np.array([0.1, 0.2, 0.05, 0.15, 0.3, 0.1, 0.04, 0.06]),
+    "zeros": np.array([0.0, 0.5, 0.0, 0.0, 0.25, 0.0, 0.25, 0.0]),
+    "single": np.eye(8)[5],
+    "one-qubit": np.array([0.3, 0.7]),
+}
+
+
+@pytest.mark.parametrize("shots", [1, 10_000])
+@pytest.mark.parametrize("name", sorted(STREAM_PROBABILITIES))
+def test_draws_keep_the_choice_random_stream(name, shots):
+    """A draw is Generator.choice(p=...) outcome for outcome, and leaves the
+    generator in the same state, so seeded runs keep their numbers."""
+    probs = STREAM_PROBABILITIES[name]
+    n = len(probs).bit_length() - 1
+    state = Statevector(n, np.sqrt(probs))
+    group = CommutingGroup(n, ((PauliString.from_label(n, "Z0"), 1.0),))
+    prepared = _PreparedGroup.build(state, group)
+    p = state.probabilities()
+    p = p / p.sum()
+    for seed in (0, 1, 2024):
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = prepared.outcomes(shots, rng)
+        assert np.array_equal(got, oracle.choice(len(p), size=shots, p=p))
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+@pytest.mark.parametrize("block", [simulator.SIGN_BLOCK, 5])
+def test_sample_group_matches_the_per_member_loop(monkeypatch, h4_operator, h4_ground, block):
+    """A small SIGN_BLOCK splits the members x outcomes parity matrix."""
+    monkeypatch.setattr(simulator, "SIGN_BLOCK", block)
+    _, state = h4_ground
+    for k, group in enumerate(si_grouping(h4_operator).groups):
+        circuit = diagonalizing_circuit(group)
+        members = diagonalized_members(group, circuit)
+        p = apply_clifford(state, circuit).probabilities()
+        p = p / p.sum()
+        for seed, shots in ((k, 1), (100 + k, 5000)):
+            sample = sample_group(state, group, shots, np.random.default_rng(seed))
+            outcomes = np.random.default_rng(seed).choice(len(p), size=shots, p=p)
+            values, counts = np.unique(outcomes, return_counts=True)
+            weights = counts / shots
+            estimates, energy = [], 0.0
+            for (image, folded), (_, coeff) in zip(members, group.members):
+                mean = float(np.dot(weights, 1.0 - 2.0 * _parity(values, image.z_mask)))
+                estimates.append(mean if folded == coeff else -mean)
+                energy += folded * mean
+            np.testing.assert_allclose(sample.member_estimates, estimates, rtol=0, atol=1e-15)
+            assert abs(sample.energy - energy) < 1e-12
 
 
 def test_finite_sample_identity_only_has_zero_error():
