@@ -8,6 +8,7 @@ and simulates the whole pipeline on a dense statevector backend.
 
 __version__ = "0.1.0"
 
+from .circuits import Circuit, Gate
 from .encoding import ORDERINGS, build_qubit_hamiltonian, jw_encode, spin_orbital_index
 from .experiments import ExperimentConfig, config_from_dict, load_config
 from .fcidump import read_fcidump, read_fcidump_header, write_fcidump
@@ -23,7 +24,6 @@ from .grouping import (
     si_grouping,
 )
 from .groups import (
-    CliffordCircuit,
     CommutingGroup,
     conjugate_pauli,
     diagonalized_members,
@@ -59,12 +59,10 @@ from .rotations import (
     rotate_integrals,
 )
 from .simulator import (
-    Circuit,
     PairAnsatz,
     SampledEnergies,
     Statevector,
     apply_circuit,
-    apply_clifford,
     build_pair_ansatz,
     expectation,
     finite_sample_experiment,
@@ -95,13 +93,13 @@ __all__ = [
     "HCBDecomposition", "extract_hcb", "hcb_operator", "hcb_to_groups",
     "ProtocolRecord", "run_protocol", "records_to_csv",
     # commuting groups, baselines, shots, depth
-    "CommutingGroup", "CliffordCircuit", "conjugate_pauli",
+    "CommutingGroup", "conjugate_pauli",
     "diagonalizing_circuit", "diagonalized_members",
     "GroupingResult", "lf_grouping", "rlf_grouping",
     "si_grouping", "ShotEstimate", "estimate_shots", "protocol_shot_estimate",
     "depth_overhead",
-    # simulation
-    "Statevector", "Circuit", "apply_circuit", "apply_clifford",
+    # circuits and simulation
+    "Gate", "Circuit", "Statevector", "apply_circuit",
     "rotation_circuit", "PairAnsatz", "build_pair_ansatz", "optimize_ansatz",
     "expectation", "pauli_expectation", "pauli_expectations", "ground_state", "sample_group",
     "SampledEnergies", "finite_sample_experiment", "spin_summed_rdms",

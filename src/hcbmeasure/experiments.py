@@ -144,6 +144,10 @@ class AnsatzSpec:
     restarts: int = 6
     seed: int = 11
 
+    def __post_init__(self) -> None:
+        if self.restarts < 1:
+            raise ValueError(f"ansatz.restarts must be >= 1, got {self.restarts}")
+
 
 @dataclass(frozen=True)
 class BatchSpec:
@@ -180,8 +184,8 @@ class ExperimentConfig:
             raise ValueError("scenario II requires an 'ansatz' section")
         if self.scenario == "I" and self.ansatz is not None:
             raise ValueError("scenario I forbids an 'ansatz' section")
-        if not self.epsilon > 0:  # also rejects NaN
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
         if not self.prune_threshold >= 0:

@@ -21,8 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import CliffordCircuit, CommutingGroup
+from .circuits import Circuit, Gate
+from .groups import CommutingGroup
 from .paulis import PauliString, PauliSum, anticommutation_matrix
+from .simulator import pauli_expectations
 
 GROUPING_METHODS = ("LF", "RLF", "SI")
 
@@ -247,8 +249,6 @@ def _group_shot_counts(
     Every member's <P> comes from one pauli_expectations call, so a string
     pattern shared across groups is evaluated once.
     """
-    from .simulator import pauli_expectations
-
     strings = [string for group in groups for string, _ in group.members]
     values = iter(pauli_expectations(state, strings).tolist())
     counts = []
@@ -260,12 +260,16 @@ def _group_shot_counts(
     return counts
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+
+
 def estimate_shots(
     grouping: GroupingResult, state, epsilon: float = 1e-3
 ) -> ShotEstimate:
     """Per-group and total shot budgets on a fixed measured state."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     labels = tuple(group.label or f"group-{k}" for k, group in enumerate(grouping.groups))
     return ShotEstimate(epsilon, labels,
                         tuple(_group_shot_counts(grouping.groups, state, epsilon)))
@@ -279,8 +283,7 @@ def protocol_shot_estimate(records, state, epsilon: float = 1e-3) -> ShotEstimat
     each step are measured on the state rotated into that step's basis,
     so this prices the reference frame, not the frame actually sampled.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     labels = tuple(f"step{record.step}-group{g_index}"
                    for record in records
                    for g_index in range(1, len(record.groups) + 1))
@@ -305,46 +308,31 @@ def _excitation_ladder(i: int, j: int) -> list[tuple[int, int]]:
     return down + [(j - 1, j)] + list(reversed(down))
 
 
-def _gate_footprints(gate, spin_orbital) -> list[tuple[int, ...]]:
-    """Primitive footprint sequence (qubit tuples) implementing a gate."""
-    from . import simulator as sim
+def _gate_footprints(gate: Gate) -> list[tuple[int, ...]]:
+    """Primitive footprint sequence (qubit tuples) implementing a gate.
 
-    if isinstance(gate, sim.PairRotationGate):
-        ops: list[tuple[int, ...]] = []
-        for spin in (0, 1):
-            a, b = sorted((spin_orbital(gate.p, spin), spin_orbital(gate.q, spin)))
-            ops.extend(_excitation_ladder(a, b))
-        return ops
-    if isinstance(gate, sim.PairGivensGate):
-        qubits = sorted(
-            spin_orbital(orbital, spin)
-            for orbital in (gate.p, gate.q)
-            for spin in (0, 1)
-        )
-        ops = []
-        for a, b in zip(qubits, qubits[1:]):
-            ops.extend(_excitation_ladder(a, b))
-        return ops
-    if isinstance(gate, (sim.XGate, sim.ZGate)):
-        return [gate.qubits]
-    raise ValueError(f"cannot lay out gate {gate!r}")
+    GIVENS is one excitation ladder between its qubits; PAIR_HOP is a ladder
+    between each neighbouring pair of its sorted qubits; every other gate is
+    itself.
+    """
+    if gate.name == "GIVENS":
+        return _excitation_ladder(*sorted(gate.qubits))
+    if gate.name == "PAIR_HOP":
+        qubits = sorted(gate.qubits)
+        return [op for a, b in zip(qubits, qubits[1:]) for op in _excitation_ladder(a, b)]
+    return [gate.qubits]
 
 
-def depth_overhead(circuit) -> tuple[int, int]:
+def depth_overhead(circuit: Circuit) -> tuple[int, int]:
     """(total depth, two-qubit depth) of a circuit's primitive layout.
 
     Gates are laid out onto nearest-neighbour two-qubit primitives where
     needed, then packed as early as qubit availability allows.  The first
     number layers every primitive; the second layers only the two-qubit
     ones, the standard cost proxy on hardware where entangling gates
-    dominate.  Accepts the simulator's Circuit or a CliffordCircuit.
+    dominate.
     """
-    if isinstance(circuit, CliffordCircuit):
-        footprints = [tuple(g.qubits) for g in circuit.gates]
-    else:
-        footprints = []
-        for gate in circuit.gates:
-            footprints.extend(_gate_footprints(gate, circuit.spin_orbital))
+    footprints = [op for gate in circuit.gates for op in _gate_footprints(gate)]
 
     def layered_depth(ops: list[tuple[int, ...]]) -> int:
         level: dict[int, int] = {}

@@ -10,44 +10,12 @@ clear afterwards, so the loop terminates.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .circuits import CLIFFORD_GATES, Circuit, Gate
 from .paulis import PauliString, PauliSum, anticommutation_matrix
-
-CLIFFORD_GATES = ("H", "S", "CNOT", "CZ", "X")
-
-
-@dataclass(frozen=True)
-class CliffordGate:
-    name: str
-    qubits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.name not in CLIFFORD_GATES:
-            raise ValueError(f"unknown Clifford gate {self.name!r}")
-        want = 2 if self.name in ("CNOT", "CZ") else 1
-        if len(self.qubits) != want:
-            raise ValueError(f"{self.name} takes {want} qubit(s), got {self.qubits}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"{self.name} qubits must be distinct")
-
-
-@dataclass
-class CliffordCircuit:
-    n_qubits: int
-    gates: list[CliffordGate] = field(default_factory=list)
-
-    def add(self, name: str, *qubits: int) -> None:
-        for q in qubits:
-            if not 0 <= q < self.n_qubits:
-                raise ValueError(f"qubit {q} out of range")
-        self.gates.append(CliffordGate(name, tuple(qubits)))
-
-    def __len__(self) -> int:
-        return len(self.gates)
-
 
 GROUP_KINDS = ("general", "diagonal_z", "yx_xy", "yy_xx")
 
@@ -110,7 +78,7 @@ def _mask_rows(
 
 
 def _conjugate_rows(
-    x: np.ndarray, z: np.ndarray, flip: np.ndarray, gates: Sequence[CliffordGate]
+    x: np.ndarray, z: np.ndarray, flip: np.ndarray, gates: Sequence[Gate]
 ) -> None:
     """Send every row (-1)^flip P(x, z) to C P C^dagger, in place.
 
@@ -118,8 +86,13 @@ def _conjugate_rows(
     (Aaronson & Gottesman, quant-ph/0406196): H swaps the qubit's x and z
     bits, S adds x into z, CNOT copies the control's x into the target and
     the target's z into the control, CZ adds each qubit's x into the
-    other's z.  flip collects the sign each gate contributes.
+    other's z, X and Z flip the sign of rows with z or x on the qubit.
+    flip collects the sign each gate contributes.  Raises ValueError,
+    before touching a row, on a gate that is not a Clifford.
     """
+    for gate in gates:
+        if gate.name not in CLIFFORD_GATES:
+            raise ValueError(f"cannot conjugate Pauli strings through a {gate.name} gate")
     for gate in gates:
         if gate.name in ("CNOT", "CZ"):
             a, b = gate.qubits
@@ -144,18 +117,20 @@ def _conjugate_rows(
         elif gate.name == "S":
             flip ^= xq & zq
             z ^= xq << q
-        else:  # X
+        elif gate.name == "X":
             flip ^= zq
+        else:  # Z
+            flip ^= xq
 
 
-def conjugate_pauli(string: PauliString, circuit: CliffordCircuit) -> tuple[PauliString, int]:
+def conjugate_pauli(string: PauliString, circuit: Circuit) -> tuple[PauliString, int]:
     """Image (C P C^dagger, sign) of a Pauli string under the circuit's gates."""
     x, z, flip = _mask_rows([string], circuit.n_qubits)
     _conjugate_rows(x, z, flip, circuit.gates)
     return PauliString(circuit.n_qubits, int(x[0]), int(z[0])), -1 if flip[0] else 1
 
 
-def diagonalizing_circuit(group: CommutingGroup) -> CliffordCircuit:
+def diagonalizing_circuit(group: CommutingGroup) -> Circuit:
     """Clifford circuit whose conjugation sends every member to a Z-string.
 
     Raises ValueError when the members do not pairwise commute (checked
@@ -164,7 +139,7 @@ def diagonalizing_circuit(group: CommutingGroup) -> CliffordCircuit:
     """
     group.check_commuting()
     n = group.n_qubits
-    circuit = CliffordCircuit(n)
+    circuit = Circuit(n)
     x, z, flip = _mask_rows(group.strings(), n)
 
     def apply_gate(name: str, *qubits: int) -> None:
@@ -197,7 +172,7 @@ def diagonalizing_circuit(group: CommutingGroup) -> CliffordCircuit:
 
 
 def diagonalized_members(
-    group: CommutingGroup, circuit: CliffordCircuit
+    group: CommutingGroup, circuit: Circuit
 ) -> list[tuple[PauliString, float]]:
     """Conjugate members through the circuit, folding signs into coefficients.
 

@@ -4,27 +4,24 @@ Qubit j is spin orbital j (see encoding.py for the orbital->qubit maps);
 basis index bit j holds its occupation.  Capped at 16 qubits: every state
 is a full 2^n complex vector.
 
-Fermionic gates act with exact Jordan-Wigner phases:
-
-  PairRotationGate(p, q, theta): exp[ theta/2 * sum_s (a+_ps a_qs - h.c.) ]
-  PairGivensGate(p, q, phi):     exp[ phi/2 (a+_pu a+_pd a_qd a_qu - h.c.) ]
-
-applied directly on the amplitudes, so no Trotter or matrix exponentials
-are involved.
+Circuits are circuits.Circuit gate lists.  The fermionic gates (GIVENS,
+PAIR_HOP) act with exact Jordan-Wigner phases directly on the amplitudes,
+so no Trotter or matrix exponentials are involved.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from .circuits import Circuit
 from .encoding import check_ordering, spin_orbital_index
-from .groups import CliffordCircuit, CommutingGroup, diagonalized_members, diagonalizing_circuit
+from .groups import CommutingGroup, diagonalized_members, diagonalizing_circuit
 from .paulis import PauliString, PauliSum
 from .rotations import OrbitalRotation, PairingGraph, givens_factorize
 
@@ -62,78 +59,6 @@ class Statevector:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-
-# ---------------------------------------------------------------------------
-# gates and circuits
-
-
-@dataclass(frozen=True)
-class XGate:
-    qubit: int
-
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return (self.qubit,)
-
-
-@dataclass(frozen=True)
-class ZGate:
-    qubit: int
-
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return (self.qubit,)
-
-
-@dataclass(frozen=True)
-class PairRotationGate:
-    """Spin-summed Givens rotation between spatial orbitals p and q."""
-
-    p: int
-    q: int
-    theta: float
-
-
-@dataclass(frozen=True)
-class PairGivensGate:
-    """Pair-hop rotation exp[phi/2 (a+_pu a+_pd a_qd a_qu - h.c.)].
-
-    A real-amplitude (Y-axis) rotation in the two-level subspace of the
-    doubly-occupied configurations: it forms cos/sin superpositions of the
-    two, which is what a pair-correlated ground-state ansatz needs.
-    """
-
-    p: int
-    q: int
-    phi: float
-
-
-Gate = XGate | ZGate | PairRotationGate | PairGivensGate
-
-
-@dataclass
-class Circuit:
-    """Gate list over 2*n_orbitals qubits under a fixed spin-orbital layout."""
-
-    n_orbitals: int
-    ordering: str = "interleaved"
-    gates: list[Gate] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        check_ordering(self.ordering)
-        if not 1 <= self.n_orbitals <= MAX_QUBITS // 2:
-            raise ValueError(f"n_orbitals must be in [1, {MAX_QUBITS // 2}]")
-
-    @property
-    def n_qubits(self) -> int:
-        return 2 * self.n_orbitals
-
-    def spin_orbital(self, orbital: int, spin: int) -> int:
-        return spin_orbital_index(orbital, spin, self.n_orbitals, self.ordering)
-
-    def add(self, gate: Gate) -> None:
-        self.gates.append(gate)
 
 
 def _parity(values: np.ndarray, mask: int) -> np.ndarray:
@@ -215,75 +140,33 @@ def _check_rdms(state: Statevector, one_rdm: np.ndarray, two_rdm: np.ndarray) ->
             raise ValueError(f"{name} gap {gap:.3e} exceeds {RDM_TOL:g}")
 
 
-def _apply_single_excitation(
-    amps: np.ndarray, n_qubits: int, i: int, j: int, theta: float
-) -> np.ndarray:
-    """exp[theta/2 (a+_i a_j - a+_j a_i)] with Jordan-Wigner string phases."""
-    dim = amps.shape[0]
-    idx = np.arange(dim, dtype=np.int64)
-    bit_i, bit_j = 1 << i, 1 << j
-    sel = ((idx & bit_i) != 0) & ((idx & bit_j) == 0)
-    src = idx[sel]
-    partner = src ^ (bit_i | bit_j)
-    lo, hi = (i, j) if i < j else (j, i)
-    between = ((1 << hi) - 1) & ~((1 << (lo + 1)) - 1)
-    sign = 1.0 - 2.0 * _parity(src, between)
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    out = amps.copy()
-    out[src] = c * amps[src] + sign * s * amps[partner]
-    out[partner] = c * amps[partner] - sign * s * amps[src]
-    return out
+def _apply_excitation(amps: np.ndarray, qubits: tuple[int, ...], angle: float) -> None:
+    """exp[angle/2 (A - A^dagger)] on the amplitudes, in place.
 
-
-def _apply_pair_hop(amps: np.ndarray, circuit: Circuit, gate: PairGivensGate) -> np.ndarray:
-    i1 = circuit.spin_orbital(gate.p, 0)
-    i2 = circuit.spin_orbital(gate.p, 1)
-    j1 = circuit.spin_orbital(gate.q, 0)
-    j2 = circuit.spin_orbital(gate.q, 1)
-    dim = amps.shape[0]
-    idx = np.arange(dim, dtype=np.int64)
-    p_mask = (1 << i1) | (1 << i2)
-    q_mask = (1 << j1) | (1 << j2)
-    # v2: pair fully on q, p empty; v1 = v2 with the pair moved to p
-    sel = ((idx & q_mask) == q_mask) & ((idx & p_mask) == 0)
-    v2 = idx[sel]
-    v1 = v2 ^ (p_mask | q_mask)
-    # JW sign of a+_pu a+_pd a_qd a_qu acting on v2, one ladder step at a time
-    state = v2.copy()
-    total = np.zeros(len(v2), dtype=np.int64)
-    for index in (j1, j2, i2, i1):
-        below = (1 << index) - 1
-        total += np.bitwise_count(state & below).astype(np.int64)
-        state ^= 1 << index
+    qubits lists the created qubits c_1..c_k, then the annihilated ones
+    a_1..a_k, and A = a+_{c_1}..a+_{c_k} a_{a_k}..a_{a_1} (GIVENS (i, j):
+    a+_i a_j; PAIR_HOP (pu, pd, qu, qd): a+_pu a+_pd a_qd a_qu).  A sends
+    each basis state with every a set and every c clear to one partner,
+    with the Jordan-Wigner sign of applying its ladders one at a time;
+    the gate rotates each (partner, state) amplitude pair.
+    """
+    half = len(qubits) // 2
+    created, annihilated = qubits[:half], qubits[half:]
+    c_mask = sum(1 << q for q in created)
+    a_mask = sum(1 << q for q in annihilated)
+    idx = np.arange(len(amps), dtype=np.int64)
+    src = idx[(idx & (a_mask | c_mask)) == a_mask]
+    dst = src ^ (a_mask | c_mask)
+    state = src.copy()
+    total = np.zeros(len(src), dtype=np.int64)
+    for q in annihilated + created[::-1]:
+        total += np.bitwise_count(state & ((1 << q) - 1)).astype(np.int64)
+        state ^= 1 << q
     sign = 1.0 - 2.0 * (total & 1)
-    c, s = np.cos(gate.phi / 2.0), np.sin(gate.phi / 2.0)
-    out = amps.copy()
-    out[v1] = c * amps[v1] + sign * s * amps[v2]
-    out[v2] = c * amps[v2] - sign * s * amps[v1]
-    return out
-
-
-def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
-    if state.n_qubits != circuit.n_qubits:
-        raise ValueError("state and circuit qubit counts differ")
-    amps = state.amplitudes
-    n = state.n_qubits
-    for gate in circuit.gates:
-        if isinstance(gate, XGate):
-            amps = amps[np.arange(len(amps)) ^ (1 << gate.qubit)]
-        elif isinstance(gate, ZGate):
-            idx = np.arange(len(amps))
-            amps = amps * (1.0 - 2.0 * ((idx >> gate.qubit) & 1))
-        elif isinstance(gate, PairRotationGate):
-            for spin in (0, 1):
-                i = circuit.spin_orbital(gate.p, spin)
-                j = circuit.spin_orbital(gate.q, spin)
-                amps = _apply_single_excitation(amps, n, i, j, gate.theta)
-        elif isinstance(gate, PairGivensGate):
-            amps = _apply_pair_hop(amps, circuit, gate)
-        else:
-            raise ValueError(f"unknown gate {gate!r}")
-    return Statevector(n, amps)
+    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
+    at_dst, at_src = amps[dst], amps[src]
+    amps[dst] = c * at_dst + sign * s * at_src
+    amps[src] = c * at_src - sign * s * at_dst
 
 
 def _bits_view(tensor: np.ndarray, *fixed: tuple[int, int]) -> np.ndarray:
@@ -305,18 +188,21 @@ def _swap(a: np.ndarray, b: np.ndarray) -> None:
     b[...] = kept
 
 
-def apply_clifford(state: Statevector, circuit: CliffordCircuit) -> Statevector:
-    """Apply an H/S/CNOT/CZ/X gate list to the state.
+def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
+    """The state after the circuit's gates; the input state is left unchanged.
 
-    Every gate acts in place on strided views of one working copy of the
-    amplitudes; the input state is left unchanged.
+    Every gate acts in place on one working copy of the amplitudes: the
+    Clifford gates (H, S, X, Z, CNOT, CZ) on strided views of it reshaped
+    to (2,)*n, GIVENS and PAIR_HOP through _apply_excitation.
     """
     if state.n_qubits != circuit.n_qubits:
         raise ValueError("state and circuit qubit counts differ")
     amps = state.amplitudes.copy()
     tensor = amps.reshape((2,) * state.n_qubits)
     for gate in circuit.gates:
-        if gate.name == "CNOT":
+        if gate.name in ("GIVENS", "PAIR_HOP"):
+            _apply_excitation(amps, gate.qubits, gate.angle)
+        elif gate.name == "CNOT":
             c, t = gate.qubits
             _swap(_bits_view(tensor, (c, 1), (t, 0)), _bits_view(tensor, (c, 1), (t, 1)))
         elif gate.name == "CZ":
@@ -332,8 +218,10 @@ def apply_clifford(state: Statevector, circuit: CliffordCircuit) -> Statevector:
                 np.multiply(total, _SQRT_HALF, out=low)
             elif gate.name == "S":
                 high *= 1j
-            else:  # X
+            elif gate.name == "X":
                 _swap(low, high)
+            else:  # Z
+                high *= -1.0
     return Statevector(state.n_qubits, amps)
 
 
@@ -353,24 +241,36 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 # orbital rotations as circuits
 
 
+def _spin_pair(orbital: int, n_orbitals: int, ordering: str) -> tuple[int, int]:
+    """The (spin-up, spin-down) qubits of a spatial orbital in the layout."""
+    return (spin_orbital_index(orbital, 0, n_orbitals, ordering),
+            spin_orbital_index(orbital, 1, n_orbitals, ordering))
+
+
+def _add_orbital_rotation(circuit: Circuit, p: int, q: int, theta: float, ordering: str) -> None:
+    """exp[theta/2 sum_s (a+_ps a_qs - h.c.)]: one GIVENS per spin, up first."""
+    n = circuit.n_qubits // 2
+    for i, j in zip(_spin_pair(p, n, ordering), _spin_pair(q, n, ordering)):
+        circuit.add("GIVENS", i, j, angle=theta)
+
+
 def rotation_circuit(
     rotation: OrbitalRotation, n_orbitals: int, ordering: str = "interleaved"
 ) -> Circuit:
     """Circuit whose action on states matches rotating the integral tensors."""
+    check_ordering(ordering)
     if rotation.n_orbitals != n_orbitals:
         raise ValueError("rotation size does not match orbital count")
-    circuit = Circuit(n_orbitals, ordering)
-    if rotation.factors:
-        for p, q, theta in rotation.factors:
-            circuit.add(PairRotationGate(p, q, theta))
-        return circuit
-    factors, signs = givens_factorize(rotation.matrix)
-    for k, s in enumerate(signs):
-        if s < 0:
-            circuit.add(ZGate(circuit.spin_orbital(k, 0)))
-            circuit.add(ZGate(circuit.spin_orbital(k, 1)))
+    circuit = Circuit(2 * n_orbitals)
+    factors = rotation.factors
+    if not factors:
+        factors, signs = givens_factorize(rotation.matrix)
+        for k, s in enumerate(signs):
+            if s < 0:
+                for qubit in _spin_pair(k, n_orbitals, ordering):
+                    circuit.add("Z", qubit)
     for p, q, theta in factors:
-        circuit.add(PairRotationGate(p, q, theta))
+        _add_orbital_rotation(circuit, p, q, theta, ordering)
     return circuit
 
 
@@ -388,9 +288,9 @@ class PairAnsatz:
     graph contributes a rotated pair-hop block
     rotate(theta) -> hop(phi) -> rotate(-theta) with two angles.
     Extra two-orbital rotations may be appended, one angle each.
-    Pair hops are PairGivensGate rotations, whose real cos/sin amplitudes
-    can weight the two pair configurations as ground-state optimization
-    needs.
+    Pair hops are PAIR_HOP gates, real (Y-axis) rotations whose cos/sin
+    amplitudes can weight the two pair configurations as ground-state
+    optimization needs; orbital rotations are spin-summed GIVENS pairs.
     """
 
     n_orbitals: int
@@ -424,29 +324,31 @@ class PairAnsatz:
             raise ValueError(
                 f"expected {self.n_parameters} parameters, got shape {params.shape}"
             )
-        circuit = Circuit(self.n_orbitals, self.ordering)
+        n, ordering = self.n_orbitals, self.ordering
+        circuit = Circuit(2 * n)
         first = self.graphs[0]
-        k = 0
         for (p, q), angle in zip(first.edges, params[: len(first.edges)]):
-            circuit.add(XGate(circuit.spin_orbital(p, 0)))
-            circuit.add(XGate(circuit.spin_orbital(p, 1)))
-            circuit.add(PairGivensGate(p, q, angle))
+            for qubit in _spin_pair(p, n, ordering):
+                circuit.add("X", qubit)
+            circuit.add("PAIR_HOP", *_spin_pair(p, n, ordering), *_spin_pair(q, n, ordering),
+                        angle=angle)
         k = len(first.edges)
         theta1 = params[k]
         k += 1
         for p, q in reversed(first.edges):
-            circuit.add(PairRotationGate(p, q, -theta1))
+            _add_orbital_rotation(circuit, p, q, -theta1, ordering)
         for graph in self.graphs[1:]:
             theta, phi = params[k], params[k + 1]
             k += 2
             for p, q in graph.edges:
-                circuit.add(PairRotationGate(p, q, theta))
+                _add_orbital_rotation(circuit, p, q, theta, ordering)
             for p, q in graph.edges:
-                circuit.add(PairGivensGate(p, q, phi))
+                circuit.add("PAIR_HOP", *_spin_pair(p, n, ordering),
+                            *_spin_pair(q, n, ordering), angle=phi)
             for p, q in reversed(graph.edges):
-                circuit.add(PairRotationGate(p, q, -theta))
+                _add_orbital_rotation(circuit, p, q, -theta, ordering)
         for (p, q), angle in zip(self.extra_pairs, params[k:]):
-            circuit.add(PairRotationGate(p, q, angle))
+            _add_orbital_rotation(circuit, p, q, angle, ordering)
         return circuit
 
     def prepare(self, params: np.ndarray) -> Statevector:
@@ -504,10 +406,12 @@ def _minimize(
 ) -> tuple[np.ndarray, float]:
     import scipy.optimize
 
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     rng = np.random.default_rng(seed)
     best_x: np.ndarray | None = None
     best_f = np.inf
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         start = rng.uniform(-spread, spread, ansatz.n_parameters)
         result = scipy.optimize.minimize(cost, start, method="L-BFGS-B")
         if result.fun < best_f:
@@ -573,17 +477,20 @@ def _y_phase(x_mask: int, z_mask: int) -> complex:
     return 1.0j ** ((x_mask & z_mask).bit_count() % 4)
 
 
-def _x_buckets(op: PauliSum) -> dict[int, list[tuple[int, complex]]]:
-    """Terms grouped by X-pattern as (z_mask, coeff * i^|x&z|), in term order.
+def _x_patterns(strings: Sequence[PauliString], n_qubits: int) -> dict[int, dict[int, list[int]]]:
+    """x_mask -> z_mask -> positions of the strings with those masks, every
+    level in order of first appearance.
 
-    Every term of a bucket maps basis state b to b ^ x_mask, so the block
-    builder finds each source state's target once per bucket.
+    Every string of an x_mask bucket maps basis state b to b ^ x_mask, so
+    pauli_expectations takes one overlap per bucket and the block builder
+    finds each source state's target once per bucket.
     """
-    by_x: dict[int, list[tuple[int, complex]]] = {}
-    for string, coeff in op.terms():
-        by_x.setdefault(string.x_mask, []).append(
-            (string.z_mask, coeff * _y_phase(string.x_mask, string.z_mask)))
-    return by_x
+    buckets: dict[int, dict[int, list[int]]] = {}
+    for i, string in enumerate(strings):
+        if string.n_qubits != n_qubits:
+            raise ValueError("string and state qubit counts differ")
+        buckets.setdefault(string.x_mask, {}).setdefault(string.z_mask, []).append(i)
+    return buckets
 
 
 def pauli_expectations(state: Statevector, strings: Sequence[PauliString]) -> np.ndarray:
@@ -599,13 +506,8 @@ def pauli_expectations(state: Statevector, strings: Sequence[PauliString]) -> np
     amps = state.amplitudes
     support = np.flatnonzero(amps)
     psi = amps[support]
-    buckets: dict[int, dict[int, list[int]]] = {}
-    for i, string in enumerate(strings):
-        if string.n_qubits != state.n_qubits:
-            raise ValueError("string and state qubit counts differ")
-        buckets.setdefault(string.x_mask, {}).setdefault(string.z_mask, []).append(i)
     values = np.empty(len(strings))
-    for x_mask, by_z in buckets.items():
+    for x_mask, by_z in _x_patterns(strings, state.n_qubits).items():
         overlap = np.conj(amps[support ^ x_mask]) * psi
         reached = np.flatnonzero(overlap)
         basis, overlap = support[reached], overlap[reached]
@@ -676,15 +578,18 @@ def _block_operator(
     position[block] = np.arange(len(block))
     rows, cols, vals = [], [], []
     leak = 0.0
-    for x_mask, entries in _x_buckets(op).items():
+    terms = op.terms()
+    for x_mask, by_z in _x_patterns([s for s, _ in terms], op.n_qubits).items():
         target = block ^ x_mask
         src = np.flatnonzero(np.bitwise_count(target) == n_electrons)
         if len(src) == 0:
             continue
         sources = block[src]
         amp = np.zeros(len(src), dtype=complex)  # entry <target| op |source>
-        for z_mask, phased in entries:
-            amp += phased * (1.0 - 2.0 * _parity(sources, z_mask))
+        for z_mask, positions in by_z.items():
+            for i in positions:
+                phased = terms[i][1] * _y_phase(x_mask, z_mask)
+                amp += phased * (1.0 - 2.0 * _parity(sources, z_mask))
         tgt = position[target[src]]
         inside = tgt >= 0
         if not np.all(inside):
@@ -798,7 +703,7 @@ class _PreparedGroup:
         folded = np.array([coeff for _, coeff in members], dtype=float)
         # folding negates, which flips the sign bit of a zero coefficient too
         signs = np.copysign(1.0, folded) * np.copysign(1.0, [c for _, c in group.members])
-        probs = apply_clifford(state, diag).probabilities()
+        probs = apply_circuit(state, diag).probabilities()
         cdf = (probs / probs.sum()).cumsum()
         cdf /= cdf[-1]
         return cls(group.label, z_masks, folded, signs, cdf)

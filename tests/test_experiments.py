@@ -162,6 +162,69 @@ def test_config_rejects_nan_thresholds(key):
         config_from_dict({key: "nan"})
 
 
+@pytest.mark.parametrize("text", ["epsilon: .inf", "epsilon: inf", "epsilon: .nan"])
+def test_config_rejects_a_non_finite_epsilon(tmp_path, text):
+    config = tmp_path / "eps.yaml"
+    config.write_text(text + "\n")
+    with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+        load_config(config)
+
+
+@pytest.mark.parametrize("restarts", [0, -3])
+def test_config_rejects_restarts_below_one(restarts):
+    with pytest.raises(ValueError, match=f"ansatz.restarts must be >= 1, got {restarts}$"):
+        config_from_dict({"scenario": "II",
+                          "ansatz": {"graphs": ["0-1,2-3"], "restarts": restarts}})
+
+
+def test_cli_zero_restarts_exits_1_with_error_json(tmp_path, capsys):
+    config = tmp_path / "ii.yaml"
+    config.write_text("scenario: II\nansatz: {graphs: ['0-1,2-3'], restarts: 0}\n")
+    assert main(["eigen", "--config", str(config), "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ValueError", "message": "ansatz.restarts must be >= 1, got 0"}
+
+
+# depth.csv of the H4 and H6 lines under three ranked graphs and two random
+# rotations, both orderings: the circuit builders and the ladder layout
+PINNED_DEPTH_CSV = {
+    4: """rotation,ordering,total_depth,two_qubit_depth
+R[0-1,2-3],interleaved,6,6
+R[0-1,2-3],reordered,1,1
+R[0-2,1-3],interleaved,28,28
+R[0-2,1-3],reordered,6,6
+R[0-3,1-2],interleaved,28,28
+R[0-3,1-2],reordered,6,6
+random[0],interleaved,64,64
+random[0],reordered,15,14
+random[1],interleaved,64,64
+random[1],reordered,15,14
+""",
+    6: """rotation,ordering,total_depth,two_qubit_depth
+R[0-1,2-3,4-5],interleaved,6,6
+R[0-1,2-3,4-5],reordered,1,1
+R[0-1,2-4,3-5],interleaved,28,28
+R[0-1,2-4,3-5],reordered,6,6
+R[0-1,2-5,3-4],interleaved,28,28
+R[0-1,2-5,3-4],reordered,6,6
+random[0],interleaved,242,242
+random[0],reordered,56,55
+random[1],interleaved,242,242
+random[1],reordered,55,55
+""",
+}
+
+
+@pytest.mark.parametrize("n_atoms", sorted(PINNED_DEPTH_CSV))
+def test_depth_table_is_pinned(tmp_path, n_atoms):
+    config = config_from_dict({**H4_LINE, "output_dir": str(tmp_path),
+                               "system": {**H4_LINE["system"], "n_atoms": n_atoms}})
+    COMMANDS["depth"](config)
+    assert (tmp_path / "depth.csv").read_text() == PINNED_DEPTH_CSV[n_atoms]
+
+
 def test_config_checks_section_values(tmp_path, capsys):
     config = tmp_path / "bad.yaml"
     config.write_text("rotations: {graphs: '0-1,2-3'}\n")

@@ -20,7 +20,8 @@ from hcbmeasure.groups import diagonalized_members, diagonalizing_circuit
 from hcbmeasure.hcb import run_protocol
 from hcbmeasure.paulis import PauliString, PauliSum
 from hcbmeasure.rotations import graph_rotation
-from hcbmeasure.simulator import Circuit, Statevector, rotation_circuit
+from hcbmeasure.circuits import Circuit
+from hcbmeasure.simulator import Statevector, rotation_circuit
 
 
 def _random_operator(rng, n_qubits, n_strings):
@@ -186,6 +187,17 @@ def test_estimate_shots_epsilon_scaling(h2_operator, h2_ground):
         estimate_shots(grouping, state, epsilon=0.0)
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), 0.0, -1e-3])
+def test_shot_estimates_require_a_finite_positive_epsilon(
+        h4_operator, h4_tensors, h4_rotations, h4_ground, epsilon):
+    _, state = h4_ground
+    records = run_protocol(h4_tensors, h4_rotations[:1], state)
+    with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+        estimate_shots(si_grouping(h4_operator), state, epsilon)
+    with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+        protocol_shot_estimate(records, state, epsilon)
+
+
 def test_shot_estimate_csv(h2_operator, h2_ground):
     _, state = h2_ground
     estimate = estimate_shots(si_grouping(h2_operator), state)
@@ -205,14 +217,25 @@ def test_stabilizer_state_costs_nothing():
 
 
 def test_depth_overhead_empty_and_single_gate():
-    assert depth_overhead(Circuit(2)) == (0, 0)
-    circuit = Circuit(2)
-    from hcbmeasure.simulator import PairGivensGate
-
-    circuit.add(PairGivensGate(0, 1, 0.3))
+    assert depth_overhead(Circuit(4)) == (0, 0)
+    circuit = Circuit(4)
+    circuit.add("PAIR_HOP", 0, 1, 2, 3, angle=0.3)
     total, two_qubit = depth_overhead(circuit)
     assert total >= 1
     assert two_qubit >= 1
+
+
+def test_depth_overhead_reads_footprints_from_gate_names():
+    circuit = Circuit(5)
+    circuit.add("GIVENS", 3, 0, angle=0.2)  # ladder (0,1) (1,2) (2,3) (1,2) (0,1)
+    assert depth_overhead(circuit) == (5, 5)
+    circuit.add("H", 0)
+    assert depth_overhead(circuit) == (6, 5)
+    circuit.add("CZ", 4, 0)
+    assert depth_overhead(circuit) == (7, 6)
+    hop = Circuit(5)
+    hop.add("PAIR_HOP", 4, 0, 2, 1, angle=0.2)  # ladders (0,1), (1,2), (2,3) (3,4) (2,3)
+    assert depth_overhead(hop) == (5, 5)
 
 
 def test_reordered_depth_beats_interleaved(h4_graphs):

@@ -5,8 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from hcbmeasure.circuits import Circuit
 from hcbmeasure.groups import (
-    CliffordCircuit,
     CommutingGroup,
     conjugate_pauli,
     diagonalized_members,
@@ -15,7 +15,7 @@ from hcbmeasure.groups import (
 from hcbmeasure.grouping import lf_grouping, rlf_grouping, si_grouping
 from hcbmeasure.hcb import extract_hcb, hcb_to_groups, run_protocol
 from hcbmeasure.paulis import PauliString
-from hcbmeasure.simulator import Statevector, apply_clifford
+from hcbmeasure.simulator import Statevector, apply_circuit
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -54,7 +54,7 @@ def _embed_two(n: int, control: int, target: int, kind: str) -> np.ndarray:
     return out
 
 
-def _dense_circuit(circuit: CliffordCircuit) -> np.ndarray:
+def _dense_circuit(circuit: Circuit) -> np.ndarray:
     n = circuit.n_qubits
     u = np.eye(2 ** n, dtype=complex)
     for gate in circuit.gates:
@@ -64,21 +64,19 @@ def _dense_circuit(circuit: CliffordCircuit) -> np.ndarray:
             u = _embed_one(n, gate.qubits[0], _S) @ u
         elif gate.name == "X":
             u = _embed_one(n, gate.qubits[0], _X) @ u
+        elif gate.name == "Z":
+            u = _embed_one(n, gate.qubits[0], _Z) @ u
         else:
             u = _embed_two(n, gate.qubits[0], gate.qubits[1], gate.name) @ u
     return u
 
 
 def _random_circuit(rng, n, n_gates):
-    circuit = CliffordCircuit(n)
+    circuit = Circuit(n)
     for _ in range(n_gates):
         pick = rng.integers(0, 5) if n > 1 else rng.integers(0, 3)
-        if pick == 0:
-            circuit.add("H", int(rng.integers(0, n)))
-        elif pick == 1:
-            circuit.add("S", int(rng.integers(0, n)))
-        elif pick == 2:
-            circuit.add("X", int(rng.integers(0, n)))
+        if pick < 3:
+            circuit.add(("H", "S", "X")[pick], int(rng.integers(0, n)))
         else:
             a, b = rng.choice(n, size=2, replace=False)
             circuit.add("CNOT" if pick == 3 else "CZ", int(a), int(b))
@@ -100,11 +98,25 @@ def test_conjugate_pauli_matches_dense_unitary():
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+@pytest.mark.parametrize("name,qubits", [("H", (1,)), ("S", (1,)), ("X", (1,)), ("Z", (1,)),
+                                          ("CNOT", (1, 0)), ("CZ", (0, 1))])
+def test_conjugate_pauli_matches_each_dense_gate(name, qubits):
+    circuit = Circuit(2)
+    circuit.add(name, *qubits)
+    u = _dense_circuit(circuit)
+    for x in range(4):
+        for z in range(4):
+            string = PauliString(2, x, z)
+            image, sign = conjugate_pauli(string, circuit)
+            lhs = u @ _dense_string(string) @ u.conj().T
+            assert np.max(np.abs(lhs - sign * _dense_string(image))) < 1e-12
+
+
 def _edge_gates(n):
     """Every gate on the first and last qubit, two-qubit gates both ways round."""
-    circuit = CliffordCircuit(n)
+    circuit = Circuit(n)
     for q in {0, n - 1}:
-        for name in ("H", "S", "X"):
+        for name in ("H", "S", "X", "Z"):
             circuit.add(name, q)
     if n > 1:
         for name in ("CNOT", "CZ"):
@@ -115,13 +127,14 @@ def _edge_gates(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_apply_clifford_matches_the_dense_circuit(n):
+    """apply_circuit on Clifford gate lists, against dense matrices."""
     rng = np.random.default_rng(100 + n)
     circuits = [_edge_gates(n)] + [_random_circuit(rng, n, 12) for _ in range(20)]
     for circuit in circuits:
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         state = Statevector(n, amps / np.linalg.norm(amps))
         before = state.amplitudes.copy()
-        got = apply_clifford(state, circuit).amplitudes
+        got = apply_circuit(state, circuit).amplitudes
         assert np.max(np.abs(got - _dense_circuit(circuit) @ before)) < 1e-12
         assert np.array_equal(state.amplitudes, before)  # the input is left alone
 
@@ -257,7 +270,7 @@ def test_group_to_sum_round_trip():
 
 
 def test_circuit_add_validates_qubits():
-    circuit = CliffordCircuit(2)
+    circuit = Circuit(2)
     with pytest.raises(ValueError):
         circuit.add("H", 5)
     with pytest.raises(ValueError):

@@ -7,28 +7,30 @@ from conftest import full_vector_expectation
 from scipy.linalg import expm
 
 import hcbmeasure.simulator as simulator
+from hcbmeasure.circuits import Circuit, Gate
 from hcbmeasure.encoding import ORDERINGS, build_qubit_hamiltonian, spin_orbital_index
 from hcbmeasure.grouping import si_grouping
 from hcbmeasure.groups import CommutingGroup, diagonalized_members, diagonalizing_circuit
 from hcbmeasure.integrals import IntegralTensors
 from hcbmeasure.paulis import PauliString, PauliSum
-from hcbmeasure.rotations import distance_ranked_matchings, givens_matrix, rotate_integrals
+from hcbmeasure.rotations import (
+    distance_ranked_matchings,
+    givens_matrix,
+    givens_rotation,
+    rotate_integrals,
+)
 from hcbmeasure.simulator import (
     DENSE_EIG_LIMIT,
     MAX_QUBITS,
-    Circuit,
     PairAnsatz,
-    PairGivensGate,
-    PairRotationGate,
     Statevector,
-    XGate,
     _lowest_eigenpair,
     _parity,
     _sector_cost,
     _PreparedGroup,
-    _x_buckets,
+    _x_patterns,
+    _y_phase,
     apply_circuit,
-    apply_clifford,
     build_pair_ansatz,
     circuit_unitary,
     expectation,
@@ -38,6 +40,7 @@ from hcbmeasure.simulator import (
     optimize_ansatz,
     pauli_expectation,
     pauli_expectations,
+    rotation_circuit,
     sample_group,
 )
 
@@ -89,7 +92,7 @@ def test_statevector_guards():
 
 
 def test_pair_rotation_zero_angle_is_identity():
-    u = circuit_unitary(Circuit(2, "interleaved", [PairRotationGate(0, 1, 0.0)]))
+    u = circuit_unitary(rotation_circuit(givens_rotation(2, 0, 1, 0.0), 2, "interleaved"))
     assert np.max(np.abs(u - np.eye(16))) < 1e-14
 
 
@@ -99,8 +102,7 @@ def test_pair_rotation_transports_hamiltonian():
     n, theta = 2, 0.37
     h = rng.normal(size=(n, n))
     tensors = IntegralTensors(n, (h + h.T) / 2, np.zeros((n,) * 4))
-    u = circuit_unitary(
-        Circuit(n, "interleaved", [PairRotationGate(0, 1, theta)]))
+    u = circuit_unitary(rotation_circuit(givens_rotation(n, 0, 1, theta), n, "interleaved"))
     r = givens_matrix(n, 0, 1, theta)
     lhs = u @ _dense_sum(
         build_qubit_hamiltonian(tensors, "interleaved", 0.0)) @ u.conj().T
@@ -120,17 +122,20 @@ def _pair_hop_generator():
 def test_pair_givens_matches_expm_oracle():
     phi = 0.53
     a = _pair_hop_generator()
-    u = circuit_unitary(Circuit(2, "interleaved", [PairGivensGate(0, 1, phi)]))
+    so = lambda p, s: spin_orbital_index(p, s, 2, "interleaved")
+    hop = Gate("PAIR_HOP", (so(0, 0), so(0, 1), so(1, 0), so(1, 1)), phi)
+    u = circuit_unitary(Circuit(4, [hop]))
     oracle = expm(phi / 2 * (a - a.conj().T))
     assert np.max(np.abs(u - oracle)) < 1e-12
 
 
 def test_pair_gates_conserve_particle_number():
-    circuit = Circuit(2, "interleaved")
-    circuit.add(XGate(circuit.spin_orbital(0, 0)))
-    circuit.add(XGate(circuit.spin_orbital(0, 1)))
-    circuit.add(PairGivensGate(0, 1, 0.8))
-    circuit.add(PairRotationGate(0, 1, 0.4))
+    circuit = Circuit(4)
+    circuit.add("X", 0)
+    circuit.add("X", 1)
+    circuit.add("PAIR_HOP", 0, 1, 2, 3, angle=0.8)
+    circuit.add("GIVENS", 0, 2, angle=0.4)
+    circuit.add("GIVENS", 1, 3, angle=0.4)
     state = apply_circuit(Statevector.computational_basis(4), circuit)
     for basis, amp in enumerate(state.amplitudes):
         if abs(amp) > 1e-12:
@@ -228,6 +233,15 @@ def test_optimize_ansatz_rejects_mismatched_operator(h2_operator, h4_graphs):
         optimize_ansatz(ansatz, h2_operator, restarts=1)
 
 
+@pytest.mark.parametrize("restarts", [0, -3])
+def test_optimizer_rejects_restarts_below_one(h4_operator, h4_graphs, restarts):
+    ansatz = build_pair_ansatz([h4_graphs[0]], "interleaved")
+    with pytest.raises(ValueError, match=f"restarts must be >= 1, got {restarts}$"):
+        optimize_ansatz(ansatz, h4_operator, restarts=restarts)
+    with pytest.raises(ValueError, match=f"restarts must be >= 1, got {restarts}$"):
+        ground_state_and_ansatz_optimum(ansatz, h4_operator, restarts=restarts)
+
+
 def test_ground_state_and_optimum_share_one_sector_build(h4_operator, h4_graphs):
     ansatz = build_pair_ansatz([h4_graphs[0]], "interleaved")
     (energy, state), (params, optimum) = ground_state_and_ansatz_optimum(
@@ -277,11 +291,13 @@ def _n_sector_matrix(op: PauliSum, n_electrons: int):
     idx = np.arange(1 << op.n_qubits, dtype=np.int64)
     sector = idx[np.bitwise_count(idx) == n_electrons]
     rows, cols, vals = [], [], []
-    for x_mask, entries in _x_buckets(op).items():
+    terms = op.terms()
+    for x_mask, by_z in _x_patterns([s for s, _ in terms], op.n_qubits).items():
         target = sector ^ x_mask
         src = np.flatnonzero(np.bitwise_count(target) == n_electrons)
         amp = np.zeros(len(src), dtype=complex)
-        for z_mask, phased in entries:
+        for z_mask, (i,) in by_z.items():
+            phased = terms[i][1] * _y_phase(x_mask, z_mask)
             amp += phased * (1.0 - 2.0 * _parity(sector[src], z_mask))
         rows.append(np.searchsorted(sector, target[src]))
         cols.append(src)
@@ -495,7 +511,7 @@ def test_sample_group_matches_the_per_member_loop(monkeypatch, h4_operator, h4_g
     for k, group in enumerate(si_grouping(h4_operator).groups):
         circuit = diagonalizing_circuit(group)
         members = diagonalized_members(group, circuit)
-        p = apply_clifford(state, circuit).probabilities()
+        p = apply_circuit(state, circuit).probabilities()
         p = p / p.sum()
         for seed, shots in ((k, 1), (100 + k, 5000)):
             sample = sample_group(state, group, shots, np.random.default_rng(seed))
