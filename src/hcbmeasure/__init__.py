@@ -30,10 +30,8 @@ from .groups import (
     diagonalizing_circuit,
 )
 from .hcb import (
-    HCBDecomposition,
     ProtocolRecord,
     extract_hcb,
-    hcb_operator,
     hcb_to_groups,
     records_to_csv,
     run_protocol,
@@ -68,7 +66,6 @@ from .simulator import (
     finite_sample_experiment,
     ground_state,
     optimize_ansatz,
-    pauli_expectation,
     pauli_expectations,
     rotation_circuit,
     sample_group,
@@ -90,7 +87,7 @@ __all__ = [
     "ORDERINGS", "spin_orbital_index", "jw_encode", "build_qubit_hamiltonian",
     "PauliString", "PauliSum", "anticommutation_matrix",
     # paired-layer extraction and the iterative protocol
-    "HCBDecomposition", "extract_hcb", "hcb_operator", "hcb_to_groups",
+    "extract_hcb", "hcb_to_groups",
     "ProtocolRecord", "run_protocol", "records_to_csv",
     # commuting groups, baselines, shots, depth
     "CommutingGroup", "conjugate_pauli",
@@ -101,7 +98,7 @@ __all__ = [
     # circuits and simulation
     "Gate", "Circuit", "Statevector", "apply_circuit",
     "rotation_circuit", "PairAnsatz", "build_pair_ansatz", "optimize_ansatz",
-    "expectation", "pauli_expectation", "pauli_expectations", "ground_state", "sample_group",
+    "expectation", "pauli_expectations", "ground_state", "sample_group",
     "SampledEnergies", "finite_sample_experiment", "spin_summed_rdms",
     # experiment harness
     "ExperimentConfig", "config_from_dict", "load_config",

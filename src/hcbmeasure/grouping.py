@@ -16,7 +16,6 @@ basis can be compared across qubit orderings.
 from __future__ import annotations
 
 import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,34 +44,10 @@ class GroupingResult:
     def group_count(self) -> int:
         return len(self.groups)
 
-    def to_sum(self) -> PauliSum:
-        total = PauliSum(self.n_qubits)
-        for group in self.groups:
-            for string, coeff in group.members:
-                total.add_term(string, coeff)
-        return total
-
     def check(self) -> None:
         """Certify that every group fully commutes."""
         for group in self.groups:
             group.check_commuting()
-
-    def to_json(self) -> str:
-        payload = {
-            "method": self.method,
-            "n_qubits": self.n_qubits,
-            "groups": [
-                {
-                    "label": g.label,
-                    "kind": g.kind,
-                    "terms": [
-                        {"string": str(s), "coefficient": c} for s, c in g.members
-                    ],
-                }
-                for g in self.groups
-            ],
-        }
-        return json.dumps(payload, indent=2)
 
 
 _MASK64 = (1 << 64) - 1

@@ -1,10 +1,9 @@
 """Hard-core-boson layer extraction and the iterative measurement protocol.
 
 A molecular Hamiltonian holds a sub-operator built entirely from paired
-excitations and densities — the entries of the integral tensors at the
-index patterns (k,k), (k,k,l,l), (k,l,l,k), (k,l,k,l), and (k,k,k,k).
-That layer maps onto just three mutually-commuting Pauli groups, so it
-can be measured with three circuit settings.
+excitations and densities — the entries of the integral tensors that
+_layer_masks selects.  That layer maps onto just three mutually-commuting
+Pauli groups, so it can be measured with three circuit settings.
 
 The protocol repeats the split under a sequence of orbital rotations:
 rotate the residual tensors into a new basis, peel off the layer that is
@@ -21,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import build_qubit_hamiltonian, check_ordering
+from .encoding import build_qubit_hamiltonian, check_ordering, spin_orbital_index
 from .groups import CommutingGroup
 from .integrals import IntegralTensors, rdm_expectation
-from .paulis import PauliString, PauliSum
-from .rotations import OrbitalRotation, identity_rotation, rotate_integrals
+from .rotations import OrbitalRotation, rotate_integrals
 from .simulator import (
     Statevector,
     apply_circuit,
@@ -34,151 +32,59 @@ from .simulator import (
     spin_summed_rdms,
 )
 
-# g-tensor index patterns consumed by the extraction, keyed by list name
-PAIR_HOP = "pair_hop"        # (k,k,l,l): both electrons of a pair move l -> k
-CROSS_EXCHANGE = "exchange"  # (k,l,l,k): spin exchange between two orbitals
-DENSITY = "density"          # (k,l,k,l): density-density coupling
-
 # Off-diagonal paired-layer strings at or below this magnitude are float
 # residues of terms the tensor's index symmetry cancels exactly.
 CANCELLATION_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class HCBDecomposition:
-    """Paired-layer coefficients plus the untouched residual tensors.
+def _layer_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the paired layer sits in h and in g.
 
-    alpha:  (k, h_kk) one-body occupations
-    beta:   (k, l, g[k,k,l,l]) pair hops, k != l
-    gamma:  (k, l, g[k,l,l,k]) cross terms, k != l, plus the on-site
-            (k, k, g[k,k,k,k]) weights which appear in gamma exactly once
-    delta:  (k, l, g[k,l,k,l]) density-density couplings, k != l
-    core:   constant energy consumed from the tensors (nuclear repulsion)
-    residual: input tensors with every consumed entry zeroed
-    basis:  rotation mapping the reference basis to the basis this
-            decomposition was extracted in
+    h contributes its diagonal (orbital occupations).  g contributes the
+    entries g[k,l,m,p] with k = l and m = p (pair hops), k = p and l = m
+    (spin exchange) or k = m and l = p (density-density); the on-site
+    entries g[k,k,k,k] satisfy all three.
     """
-
-    n_orbitals: int
-    alpha: tuple[tuple[int, float], ...]
-    beta: tuple[tuple[int, int, float], ...]
-    gamma: tuple[tuple[int, int, float], ...]
-    delta: tuple[tuple[int, int, float], ...]
-    core: float
-    residual: IntegralTensors
-    basis: OrbitalRotation
-
-    def consumed_tensors(self) -> IntegralTensors:
-        """Tensors holding exactly the extracted entries (plus core)."""
-        n = self.n_orbitals
-        h = np.zeros((n, n))
-        g = np.zeros((n, n, n, n))
-        for k, c in self.alpha:
-            h[k, k] = c
-        for k, l, c in self.beta:
-            g[k, k, l, l] = c
-        for k, l, c in self.gamma:
-            if k == l:
-                g[k, k, k, k] = c
-            else:
-                g[k, l, l, k] = c
-        for k, l, c in self.delta:
-            g[k, l, k, l] = c
-        return IntegralTensors(n, h, g, self.core, self.residual.basis)
+    k, l, m, p = np.indices((n,) * 4, sparse=True)
+    two_body = ((k == l) & (m == p)) | ((k == p) & (l == m)) | ((k == m) & (l == p))
+    return np.eye(n, dtype=bool), two_body
 
 
-def extract_hcb(
-    tensors: IntegralTensors, basis: OrbitalRotation | None = None
-) -> HCBDecomposition:
+def extract_hcb(tensors: IntegralTensors) -> tuple[IntegralTensors, IntegralTensors]:
     """Split tensors into the paired layer and an entrywise-exact residual.
 
-    Applying extract_hcb to the returned residual yields all-zero
-    coefficient lists (the consumed entries are gone), and
-    consumed_tensors() + residual reproduces the input exactly.
+    Both halves are cut from the input by one fixed mask, so layer +
+    residual reproduces the input bit for bit and the layer of the
+    residual is all zero.  The layer keeps the input's e_nuc and basis
+    tag; the residual's e_nuc is 0.
     """
     n = tensors.n_orbitals
-    h_res = tensors.one_body.copy()
-    g_res = tensors.two_body.copy()
-    alpha = []
-    beta = []
-    gamma = []
-    delta = []
-    for k in range(n):
-        alpha.append((k, float(h_res[k, k])))
-        h_res[k, k] = 0.0
-        gamma.append((k, k, float(g_res[k, k, k, k])))
-        g_res[k, k, k, k] = 0.0
-    for k in range(n):
-        for l in range(n):
-            if k == l:
-                continue
-            beta.append((k, l, float(g_res[k, k, l, l])))
-            g_res[k, k, l, l] = 0.0
-            gamma.append((k, l, float(g_res[k, l, l, k])))
-            g_res[k, l, l, k] = 0.0
-            delta.append((k, l, float(g_res[k, l, k, l])))
-            g_res[k, l, k, l] = 0.0
-    residual = IntegralTensors(n, h_res, g_res, 0.0, tensors.basis)
-    if basis is None:
-        basis = identity_rotation(n)
-    return HCBDecomposition(
-        n_orbitals=n,
-        alpha=tuple(alpha),
-        beta=tuple(beta),
-        gamma=tuple(gamma),
-        delta=tuple(delta),
-        core=tensors.e_nuc,
-        residual=residual,
-        basis=basis,
+    one_mask, two_mask = _layer_masks(n)
+    h, g = tensors.one_body, tensors.two_body
+    layer = IntegralTensors(
+        n, np.where(one_mask, h, 0.0), np.where(two_mask, g, 0.0),
+        tensors.e_nuc, tensors.basis,
     )
-
-
-def hcb_operator(
-    decomposition: HCBDecomposition, ordering: str = "interleaved"
-) -> PauliSum:
-    """Qubit operator of the extracted layer (constant included), unpruned."""
-    return build_qubit_hamiltonian(decomposition.consumed_tensors(), ordering, 0.0)
-
-
-def _touched_orbital_y_counts(
-    string: PauliString, n_orbitals: int, ordering: str
-) -> list[int]:
-    """Y letters per orbital, restricted to orbitals carrying any X or Y.
-
-    Each orbital owns two qubits (one per spin); an orbital is *touched*
-    when either of them carries a bit-flipping letter.  The returned list
-    holds the Y count of every touched orbital, in orbital order.
-    """
-    from .encoding import spin_orbital_index
-
-    counts = []
-    for k in range(n_orbitals):
-        y = 0
-        touched = False
-        for spin in (0, 1):
-            letter = string.letter(spin_orbital_index(k, spin, n_orbitals, ordering))
-            if letter in ("X", "Y"):
-                touched = True
-                if letter == "Y":
-                    y += 1
-        if touched:
-            counts.append(y)
-    return counts
+    residual = IntegralTensors(
+        n, np.where(one_mask, 0.0, h), np.where(two_mask, 0.0, g), 0.0, tensors.basis
+    )
+    return layer, residual
 
 
 def hcb_to_groups(
-    decomposition: HCBDecomposition, ordering: str = "interleaved"
+    layer: IntegralTensors, ordering: str = "interleaved"
 ) -> tuple[CommutingGroup, CommutingGroup, CommutingGroup]:
-    """Split the extracted layer into its three self-commuting groups.
+    """Split the paired layer into its three self-commuting groups.
 
     Group 1 collects every diagonal (Z/identity) string.  Off-diagonal
     strings classify by where their Y letters sit relative to the two
-    qubits of each orbital: strings giving every touched orbital exactly
-    one Y form group 2, and strings giving every touched orbital an even
-    Y count (zero or two) form group 3.  Two hop strings that share one
-    orbital anticommute exactly when their per-orbital Y parities differ,
-    so each family is internally commuting under either qubit ordering;
-    every group is certified before it is returned.
+    qubits of each orbital: strings giving every touched orbital (one
+    whose qubits carry an X or Y) exactly one Y form group 2, and strings
+    giving every touched orbital an even Y count (zero or two) form
+    group 3.  Two hop strings that share one orbital anticommute exactly
+    when their per-orbital Y parities differ, so each family is internally
+    commuting under either qubit ordering; every group is certified
+    before it is returned.
 
     Off-diagonal strings up to CANCELLATION_TOL are dropped: the paired
     structure cancels them identically through the two-body tensor's
@@ -187,21 +93,26 @@ def hcb_to_groups(
     encoding defect and raises.
     """
     check_ordering(ordering)
-    op = hcb_operator(decomposition, ordering)
-    n = decomposition.n_orbitals
+    op = build_qubit_hamiltonian(layer, ordering, 0.0)
+    n = layer.n_orbitals
+    pair_masks = [
+        sum(1 << spin_orbital_index(k, spin, n, ordering) for spin in (0, 1))
+        for k in range(n)
+    ]
     diagonal = []
     one_y = []
     paired_y = []
     for string, coeff in op.terms():
-        if string.x_mask == 0:
+        x, z = string.x_mask, string.z_mask
+        if x == 0:
             diagonal.append((string, coeff))
             continue
         if abs(coeff) <= CANCELLATION_TOL:
             continue
-        counts = _touched_orbital_y_counts(string, n, ordering)
-        if counts and all(c == 1 for c in counts):
+        y_counts = {(x & z & pair).bit_count() for pair in pair_masks if x & pair}
+        if y_counts == {1}:
             one_y.append((string, coeff))
-        elif counts and all(c in (0, 2) for c in counts):
+        elif y_counts <= {0, 2}:
             paired_y.append((string, coeff))
         else:
             raise ValueError(
@@ -230,10 +141,6 @@ class ProtocolRecord:
     cumulative: float
     residual_expectation: float
     abs_error: float
-
-    @property
-    def step_value(self) -> float:
-        return float(sum(self.contributions))
 
 
 def run_protocol(
@@ -273,14 +180,14 @@ def run_protocol(
         if rotation.n_orbitals != n:
             raise ValueError(f"rotation {step} size does not match tensors")
         rotated = rotate_integrals(residual, rotation)
-        decomposition = extract_hcb(rotated, basis=rotation)
-        groups = hcb_to_groups(decomposition, ordering)
+        layer, rest = extract_hcb(rotated)
+        groups = hcb_to_groups(layer, ordering)
         target = apply_circuit(state, rotation_circuit(rotation, n, ordering))
         contributions = tuple(
             expectation(target, group.to_sum()) for group in groups
         )
         cumulative += float(sum(contributions))
-        residual = rotate_integrals(decomposition.residual, rotation.transpose())
+        residual = rotate_integrals(rest, rotation.transpose())
         residual_expectation = rdm_expectation(residual, one_rdm, two_rdm)
         records.append(
             ProtocolRecord(

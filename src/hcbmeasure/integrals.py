@@ -52,6 +52,9 @@ class IntegralTensors:
             raise ValueError(f"one_body shape {h.shape}, expected {(n, n)}")
         if g.shape != (n, n, n, n):
             raise ValueError(f"two_body shape {g.shape}, expected 4x {n}")
+        for name, value in (("one_body", h), ("two_body", g), ("e_nuc", self.e_nuc)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         if np.max(np.abs(h - h.T)) > 1e-10:
             raise ValueError("one_body tensor is not symmetric")
         for perm in ((2, 1, 0, 3), (0, 3, 2, 1), (1, 0, 3, 2)):

@@ -192,12 +192,6 @@ class PauliSum:
         out._terms = dict(self._terms)
         return out
 
-    def scaled(self, factor: float) -> "PauliSum":
-        out = PauliSum(self.n_qubits)
-        for s, c in self._terms.items():
-            out.add_term(s, c * factor)
-        return out
-
     def __add__(self, other: "PauliSum") -> "PauliSum":
         if self.n_qubits != other.n_qubits:
             raise ValueError("sums act on different qubit counts")
@@ -205,12 +199,6 @@ class PauliSum:
         for s, c in other._terms.items():
             out.add_term(s, c)
         return out
-
-    def __sub__(self, other: "PauliSum") -> "PauliSum":
-        return self + other.scaled(-1.0)
-
-    def max_abs_coefficient(self) -> float:
-        return max((abs(c) for c in self._terms.values()), default=0.0)
 
     def prune(self, threshold: float = 1e-12) -> "PauliSum":
         """Drop terms with |coefficient| <= threshold."""
@@ -220,43 +208,4 @@ class PauliSum:
         for s, c in self._terms.items():
             if abs(c) > threshold:
                 out.add_term(s, c)
-        return out
-
-    def to_text(self) -> str:
-        """One term per line: signed coefficient then letter tokens."""
-        lines = [f"# n_qubits={self.n_qubits}"]
-        for string, coeff in self.terms():
-            label = string.label()
-            lines.append(f"{coeff:+.11e} {label}".rstrip())
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "PauliSum":
-        n_qubits = None
-        terms: list[tuple[int, str]] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                m = re.search(r"n_qubits\s*=\s*(\d+)", line)
-                if m:
-                    n_qubits = int(m.group(1))
-                continue
-            terms.append((lineno, line))
-        if n_qubits is None:
-            raise ValueError("missing '# n_qubits=...' header line")
-        out = cls(n_qubits)
-        for lineno, line in terms:
-            fields = line.split(None, 1)
-            try:
-                coeff = float(fields[0])
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: bad coefficient {fields[0]!r}") from exc
-            label = fields[1] if len(fields) > 1 else ""
-            try:
-                string = PauliString.from_label(n_qubits, label)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from exc
-            out.add_term(string, coeff)
         return out

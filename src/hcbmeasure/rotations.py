@@ -98,6 +98,8 @@ class OrbitalRotation:
         n = m.shape[0]
         if m.shape != (n, n):
             raise ValueError(f"rotation matrix must be square, got {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("rotation matrix must be finite")
         if np.max(np.abs(m.T @ m - np.eye(n))) > ORTHOGONALITY_TOL:
             raise ValueError("rotation matrix is not orthogonal")
         if self.factors:

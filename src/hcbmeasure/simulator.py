@@ -31,6 +31,7 @@ NORM_TOL = 1e-10
 LEAK_TOL = 1e-9  # largest element a ground-state block may send out of itself
 RDM_TOL = 1e-10  # largest Hermiticity or trace gap a built RDM may show
 SIGN_BLOCK = 1 << 21  # entries of one pauli_expectations sign matrix (16 MiB)
+START_SPREAD = 0.8  # optimize_ansatz draws start angles from [-START_SPREAD, START_SPREAD]
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -46,6 +47,8 @@ class Statevector:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (1 << self.n_qubits,):
             raise ValueError(f"amplitude vector has shape {amps.shape}")
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes must be finite")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm} deviates from 1")
@@ -225,18 +228,6 @@ def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
     return Statevector(state.n_qubits, amps)
 
 
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense matrix of the circuit (small systems only; used for checks)."""
-    dim = 1 << circuit.n_qubits
-    if dim > 4096:
-        raise ValueError("circuit_unitary is limited to 12 qubits")
-    cols = []
-    for b in range(dim):
-        state = Statevector.computational_basis(circuit.n_qubits, b)
-        cols.append(apply_circuit(state, circuit).amplitudes)
-    return np.array(cols).T
-
-
 # ---------------------------------------------------------------------------
 # orbital rotations as circuits
 
@@ -375,17 +366,16 @@ def optimize_ansatz(
     op: PauliSum,
     restarts: int = 6,
     seed: int = 11,
-    spread: float = 0.8,
 ) -> tuple[np.ndarray, float]:
     """Variationally minimize <psi(params)|op|psi(params)>.
 
     Multi-start local minimization: ``restarts`` L-BFGS-B runs from seeded
-    uniform starting points in [-spread, spread], keeping the best optimum.
-    Deterministic in ``seed``.  Returns (best parameters, best energy).
+    uniform starting points in [-START_SPREAD, START_SPREAD], keeping the
+    best optimum.  Deterministic in ``seed``.  Returns (best parameters, best energy).
     Each evaluation is one sparse matvec on the ansatz's spin block in its
     layout (see :func:`_sector_cost`).
     """
-    return _minimize(ansatz, _sector_cost(ansatz, op), restarts, seed, spread)
+    return _minimize(ansatz, _sector_cost(ansatz, op), restarts, seed)
 
 
 def ground_state_and_ansatz_optimum(
@@ -398,11 +388,11 @@ def ground_state_and_ansatz_optimum(
     block, mat = _block_operator(op, ansatz.n_electrons, ansatz.ordering)
     exact = _block_ground_state(op.n_qubits, block, mat)
     cost = _cost_on_block(ansatz, block, mat)
-    return exact, _minimize(ansatz, cost, restarts, seed, spread=0.8)
+    return exact, _minimize(ansatz, cost, restarts, seed)
 
 
 def _minimize(
-    ansatz: PairAnsatz, cost, restarts: int, seed: int, spread: float
+    ansatz: PairAnsatz, cost, restarts: int, seed: int
 ) -> tuple[np.ndarray, float]:
     import scipy.optimize
 
@@ -412,7 +402,7 @@ def _minimize(
     best_x: np.ndarray | None = None
     best_f = np.inf
     for _ in range(restarts):
-        start = rng.uniform(-spread, spread, ansatz.n_parameters)
+        start = rng.uniform(-START_SPREAD, START_SPREAD, ansatz.n_parameters)
         result = scipy.optimize.minimize(cost, start, method="L-BFGS-B")
         if result.fun < best_f:
             best_f = float(result.fun)
@@ -523,10 +513,6 @@ def pauli_expectations(state: Statevector, strings: Sequence[PauliString]) -> np
             for z_mask, value in zip(block, np.choose(power, (re, -im, -re, im)).tolist()):
                 values[by_z[z_mask]] = value
     return values
-
-
-def pauli_expectation(state: Statevector, string: PauliString) -> float:
-    return float(pauli_expectations(state, [string])[0])
 
 
 def expectation(state: Statevector, op: PauliSum) -> float:
@@ -749,10 +735,6 @@ class SampledEnergies:
         return np.abs(self.energies - self.exact)
 
     @property
-    def mean_error(self) -> float:
-        return float(np.mean(self.errors))
-
-    @property
     def error_of_mean(self) -> float:
         """|average estimate - exact|: the averaged run's residual bias.
 
@@ -762,10 +744,6 @@ class SampledEnergies:
         larger because per-group budgets each admit precision-level noise.
         """
         return float(abs(np.mean(self.energies) - self.exact))
-
-    @property
-    def std_error(self) -> float:
-        return float(np.std(self.energies))
 
 
 def finite_sample_experiment(

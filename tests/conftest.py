@@ -1,5 +1,7 @@
 """Shared fixtures: expensive systems built once per session."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from hcbmeasure.encoding import build_qubit_hamiltonian
 from hcbmeasure.geometry import build_geometry
 from hcbmeasure.integrals import IntegralTensors, minimal_basis_integrals
 from hcbmeasure.rotations import PairingGraph, graph_rotation
-from hcbmeasure.simulator import ground_state
+from hcbmeasure.simulator import Statevector, apply_circuit, ground_state
 
 # Lowest eigenvalue of the 2-electron sector at 0.7414 A, STO-3G, frozen
 # from an independent determinant-CI evaluation (tests/data/ fixture docs).
@@ -19,6 +21,30 @@ def tensor_gap(a, b) -> float:
     return max(float(np.max(np.abs(a.one_body - b.one_body))),
                float(np.max(np.abs(a.two_body - b.two_body))),
                abs(a.e_nuc - b.e_nuc))
+
+
+def sum_gap(a, b) -> float:
+    """Largest coefficient difference between two PauliSums, string by string."""
+    ca, cb = dict(a.terms()), dict(b.terms())
+    return max((abs(ca.get(s, 0.0) - cb.get(s, 0.0)) for s in ca.keys() | cb.keys()),
+               default=0.0)
+
+
+def membership_digest(groups) -> str:
+    """sha256 of every group's label, kind and members (masks, coefficient bits)."""
+    data = [
+        (g.label, g.kind, [(s.x_mask, s.z_mask, c.hex()) for s, c in g.members])
+        for g in groups
+    ]
+    return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+def circuit_unitary(circuit) -> np.ndarray:
+    """Dense matrix of a small circuit, one apply_circuit per basis state."""
+    dim = 1 << circuit.n_qubits
+    columns = [apply_circuit(Statevector.computational_basis(circuit.n_qubits, b),
+                             circuit).amplitudes for b in range(dim)]
+    return np.array(columns).T
 
 
 def full_vector_expectation(state, string) -> float:

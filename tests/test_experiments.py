@@ -304,6 +304,18 @@ def test_fcidump_system_keeps_the_empty_rotation_set_error(tmp_path, capsys):
     assert code == 1 and "the rotation set is empty" in error["message"]
 
 
+def test_eigen_rejects_a_non_finite_fcidump_integral(tmp_path, capsys):
+    source = Path(__file__).parent / "data" / "h4_line_1p5_external.fcidump"
+    lines = source.read_text().splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if line.split()[-4:] == ["2", "2", "1", "1"])
+    lines[first] = " nan   2   2   1   1\n"
+    fcidump = tmp_path / "nan.fcidump"
+    fcidump.write_text("".join(lines))
+    code, error = _cli(tmp_path, capsys, "eigen", f"system: {{fcidump: {fcidump}}}\n")
+    assert code == 1
+    assert error == {"error": "ValueError", "message": "two_body must be finite"}
+
+
 REORDERED_H4 = """\
 system: {shape: line, n_atoms: 4, spacing: 1.5}
 rotations: {auto_graphs: 3}

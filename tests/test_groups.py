@@ -157,8 +157,7 @@ def test_single_x_needs_one_hadamard():
 
 
 def test_hcb_group_diagonalization_certified(h4_tensors):
-    decomposition = extract_hcb(h4_tensors)
-    groups = hcb_to_groups(decomposition)
+    groups = hcb_to_groups(extract_hcb(h4_tensors)[0])
     for group in groups:
         circuit = diagonalizing_circuit(group)
         members = diagonalized_members(group, circuit)  # certifies diagonality
@@ -179,7 +178,7 @@ def _assert_diagonalizes_spectrum(group):
 
 
 def test_diagonalization_preserves_spectrum(h4_tensors):
-    _assert_diagonalizes_spectrum(hcb_to_groups(extract_hcb(h4_tensors))[1])
+    _assert_diagonalizes_spectrum(hcb_to_groups(extract_hcb(h4_tensors)[0])[1])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -2,20 +2,21 @@
 
 import numpy as np
 import pytest
-from conftest import random_tensors
+from conftest import membership_digest, random_tensors, sum_gap
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcbmeasure.encoding import ORDERINGS, build_qubit_hamiltonian
 from hcbmeasure.hcb import (
+    _layer_masks,
     extract_hcb,
-    hcb_operator,
     hcb_to_groups,
     records_to_csv,
     run_protocol,
 )
 from hcbmeasure.integrals import IntegralTensors, rdm_expectation
 from hcbmeasure.rotations import (
+    distance_ranked_matchings,
     graph_rotation,
     identity_rotation,
     random_orthogonal_rotation,
@@ -38,29 +39,57 @@ def _random_state(n_qubits, seed):
     return Statevector(n_qubits, v / np.linalg.norm(v))
 
 
+def _pattern_oracle(tensors):
+    """The paired layer by an explicit index loop over its patterns."""
+    n = tensors.n_orbitals
+    h = np.zeros((n, n))
+    g = np.zeros((n,) * 4)
+    for k in range(n):
+        h[k, k] = tensors.one_body[k, k]
+        for l in range(n):
+            for index in ((k, k, l, l), (k, l, l, k), (k, l, k, l)):
+                g[index] = tensors.two_body[index]
+    return h, g
+
+
 def test_extraction_reconstructs_input_exactly(h4_tensors):
-    d = extract_hcb(h4_tensors)
-    back = d.consumed_tensors()
-    assert np.max(np.abs(back.one_body + d.residual.one_body
-                         - h4_tensors.one_body)) < 1e-15
-    assert np.max(np.abs(back.two_body + d.residual.two_body
-                         - h4_tensors.two_body)) < 1e-15
-    assert back.e_nuc + d.residual.e_nuc == h4_tensors.e_nuc
+    layer, residual = extract_hcb(h4_tensors)
+    assert np.array_equal(layer.one_body + residual.one_body, h4_tensors.one_body)
+    assert np.array_equal(layer.two_body + residual.two_body, h4_tensors.two_body)
+    assert (layer.e_nuc, residual.e_nuc) == (h4_tensors.e_nuc, 0.0)
+    assert layer.basis == residual.basis == h4_tensors.basis
 
 
 def test_extraction_idempotent(h4_tensors):
-    d = extract_hcb(h4_tensors)
-    d2 = extract_hcb(d.residual)
-    assert all(c == 0.0 for _, c in d2.alpha)
-    assert all(c == 0.0 for _, _, c in d2.beta)
-    assert all(c == 0.0 for _, _, c in d2.gamma)
-    assert all(c == 0.0 for _, _, c in d2.delta)
+    layer, _ = extract_hcb(extract_hcb(h4_tensors)[1])
+    assert not np.any(layer.one_body)
+    assert not np.any(layer.two_body)
 
 
 def test_beta_delta_exclude_diagonal_pairs(h4_tensors):
-    d = extract_hcb(h4_tensors)
-    assert all(k != l for k, l, _ in d.beta)
-    assert all(k != l for k, l, _ in d.delta)
+    """The pair-hop (kkll), exchange (kllk) and density (klkl) diagonals of g
+    share only the on-site entries g[k,k,k,k], which the layer holds once."""
+    n = h4_tensors.n_orbitals
+    layer, residual = extract_hcb(h4_tensors)
+    for pattern in ("kkll->kl", "kllk->kl", "klkl->kl"):
+        assert np.array_equal(np.einsum(pattern, layer.two_body),
+                              np.einsum(pattern, h4_tensors.two_body))
+        assert not np.any(np.einsum(pattern, residual.two_body))
+    assert np.count_nonzero(_layer_masks(n)[1]) == 3 * n * n - 2 * n
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_mask_cut_matches_the_index_loop(n, seed):
+    tensors = random_tensors(n, seed, e_nuc=0.5)
+    layer, residual = extract_hcb(tensors)
+    assert np.array_equal(layer.one_body + residual.one_body, tensors.one_body)
+    assert np.array_equal(layer.two_body + residual.two_body, tensors.two_body)
+    h, g = _pattern_oracle(tensors)
+    assert np.array_equal(layer.one_body, h)
+    assert np.array_equal(layer.two_body, g)
+    again, _ = extract_hcb(residual)
+    assert not np.any(again.one_body) and not np.any(again.two_body)
 
 
 def test_paired_only_tensors_leave_zero_residual():
@@ -84,9 +113,9 @@ def test_paired_only_tensors_leave_zero_residual():
     sym = np.einsum("ikjl->ijkl", g)
     sym = (sym + sym.transpose(1, 0, 2, 3)) / 2  # already symmetric; harmless
     tensors = IntegralTensors(n, h, np.einsum("ijkl->ikjl", sym))
-    d = extract_hcb(tensors)
-    assert np.max(np.abs(d.residual.two_body)) == 0.0
-    assert np.max(np.abs(d.residual.one_body)) == 0.0
+    _, residual = extract_hcb(tensors)
+    assert np.max(np.abs(residual.two_body)) == 0.0
+    assert np.max(np.abs(residual.one_body)) == 0.0
 
 
 def test_h2_natural_basis_residual_vanishes(h2_natural_tensors):
@@ -94,16 +123,16 @@ def test_h2_natural_basis_residual_vanishes(h2_natural_tensors):
     from hcbmeasure.simulator import ground_state
 
     _, state = ground_state(op, 2)
-    d = extract_hcb(h2_natural_tensors)
-    res_op = build_qubit_hamiltonian(d.residual, "interleaved", 0.0)
+    _, residual = extract_hcb(h2_natural_tensors)
+    res_op = build_qubit_hamiltonian(residual, "interleaved", 0.0)
     assert abs(expectation(state, res_op)) < 1e-12
 
 
 def test_split_is_linear_on_random_states(h4_tensors):
-    d = extract_hcb(h4_tensors)
+    layer, rest = extract_hcb(h4_tensors)
     full = build_qubit_hamiltonian(h4_tensors, "interleaved", 0.0)
-    paired = hcb_operator(d)
-    residual = build_qubit_hamiltonian(d.residual, "interleaved", 0.0)
+    paired = build_qubit_hamiltonian(layer, "interleaved", 0.0)
+    residual = build_qubit_hamiltonian(rest, "interleaved", 0.0)
     for seed in range(3):
         state = _random_state(8, seed)
         total = expectation(state, paired) + expectation(state, residual)
@@ -113,7 +142,7 @@ def test_split_is_linear_on_random_states(h4_tensors):
 def test_alpha_only_decomposition_has_empty_off_diagonal_groups():
     n = 2
     tensors = IntegralTensors(n, np.diag([-1.0, -0.5]), np.zeros((n,) * 4))
-    groups = hcb_to_groups(extract_hcb(tensors))
+    groups = hcb_to_groups(extract_hcb(tensors)[0])
     assert len(groups) == 3
     assert groups[0].members  # diagonal strings present
     assert not groups[1].members
@@ -128,7 +157,7 @@ def test_pair_hop_member_sets():
         chem[idx] = 0.25
     tensors = IntegralTensors(
         n, np.zeros((n, n)), np.einsum("ijkl->ikjl", chem))
-    groups = hcb_to_groups(extract_hcb(tensors))
+    groups = hcb_to_groups(extract_hcb(tensors)[0])
     labels2 = {s.label() for s in groups[1].strings()}
     labels3 = {s.label() for s in groups[2].strings()}
     assert labels2 == {"Y0 X1 X2 Y3", "X0 Y1 Y2 X3"}
@@ -136,16 +165,60 @@ def test_pair_hop_member_sets():
 
 
 def test_groups_partition_paired_operator_both_orderings(h4_tensors):
-    d = extract_hcb(h4_tensors)
+    layer, _ = extract_hcb(h4_tensors)
     for ordering in ("interleaved", "reordered"):
-        op = hcb_operator(d, ordering)
-        groups = hcb_to_groups(d, ordering)
+        op = build_qubit_hamiltonian(layer, ordering, 0.0)
+        groups = hcb_to_groups(layer, ordering)
         union = groups[0].to_sum() + groups[1].to_sum() + groups[2].to_sum()
-        assert (op - union).max_abs_coefficient() < 1e-10
+        assert sum_gap(op, union) < 1e-10
+
+
+def test_full_tensors_do_not_fit_the_paired_groups(h4_tensors):
+    with pytest.raises(ValueError, match="does not fit any paired-layer group"):
+        hcb_to_groups(h4_tensors)
+
+
+# sha256 of the three groups' labels, kinds and members (masks, coefficient
+# bits) of the layer under the top distance-ranked pairing graph and under a
+# seeded random rotation
+PINNED_LAYER_GROUPS = [
+    ("h4", "graph", "interleaved", (37, 12, 12),
+     "4ac8484e8b017506606ecb7f1c3b39929dd11e0f91c0427c6cffb528fda57417"),
+    ("h4", "graph", "reordered", (37, 12, 12),
+     "b3de72cc563da813d7439774827fb7d4f4ad091ab061b104810ecd73fc87643f"),
+    ("h4", "random", "interleaved", (37, 12, 12),
+     "20117802337546713bfe3e661a26c7a89ed894400c8647928011d10474319f41"),
+    ("h4", "random", "reordered", (37, 12, 12),
+     "8a6a7d7cfed647fc43359c0c2200350ca4a3212b5ad08156e84833d9f8507fa8"),
+    ("h6", "graph", "interleaved", (79, 30, 30),
+     "12a2e6c7d9b0fca3aaee787e151b9cff9c8b129a4b3581fc250094aafa7960d8"),
+    ("h6", "graph", "reordered", (79, 30, 30),
+     "98fc191858b4c2f87341fca5a3e242fd8a7a8a84fda2cacaa16df426058f79c7"),
+    ("h6", "random", "interleaved", (79, 30, 30),
+     "7313b02fe41b7a094affbb6dc932554cc5d87fd91f82aa87bec9c0636c715a48"),
+    ("h6", "random", "reordered", (79, 30, 30),
+     "f83f8b3a2f1d19e970ed6d1658ed041e9db1044dc8ed47781eac1fc0cab033c0"),
+]
+
+
+@pytest.mark.parametrize("system,rotation,ordering,sizes,digest", PINNED_LAYER_GROUPS,
+                         ids=["-".join(p[:3]) for p in PINNED_LAYER_GROUPS])
+def test_layer_groups_are_pinned(request, system, rotation, ordering, sizes, digest):
+    tensors = request.getfixturevalue(f"{system}_tensors")
+    n = tensors.n_orbitals
+    if rotation == "graph":
+        coords = np.asarray(request.getfixturevalue(f"{system}_geometry").coordinates)
+        distances = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=-1)
+        r = graph_rotation(distance_ranked_matchings(distances, 1)[0])
+    else:
+        r = random_orthogonal_rotation(n, 3)
+    groups = hcb_to_groups(extract_hcb(rotate_integrals(tensors, r))[0], ordering)
+    assert tuple(len(group.members) for group in groups) == sizes
+    assert membership_digest(groups) == digest
 
 
 def test_groups_internally_commute_h6(h6_tensors):
-    groups = hcb_to_groups(extract_hcb(h6_tensors))
+    groups = hcb_to_groups(extract_hcb(h6_tensors)[0])
     for group in groups:
         strings = group.strings()
         for i in range(len(strings)):
@@ -173,8 +246,6 @@ def test_protocol_telescoping_identity(h4_tensors, h4_rotations, h4_ground):
     for record in records:
         assert abs(record.cumulative + record.residual_expectation
                    - exact) < 1e-9
-        assert record.step_value == pytest.approx(
-            sum(record.contributions))
 
 
 def test_protocol_order_permutation_keeps_identity(
@@ -266,8 +337,8 @@ def test_protocol_residual_matches_pauli_path(h4_tensors, h4_rotations, h4_groun
     records = run_protocol(h4_tensors, h4_rotations, state)
     residual = h4_tensors
     for rotation, record in zip(h4_rotations, records):
-        layer = extract_hcb(rotate_integrals(residual, rotation))
-        residual = rotate_integrals(layer.residual, rotation.transpose())
+        _, rest = extract_hcb(rotate_integrals(residual, rotation))
+        residual = rotate_integrals(rest, rotation.transpose())
         pauli = expectation(state, build_qubit_hamiltonian(residual, "interleaved", 0.0))
         assert abs(record.residual_expectation - pauli) < 1e-12
 

@@ -102,3 +102,23 @@ def test_hartree_fock_mode_h2_symmetric_split():
 def test_unknown_mode_rejected(h2_geometry):
     with pytest.raises(ValueError):
         minimal_basis_integrals(h2_geometry, mode="huckel")
+
+
+@pytest.mark.parametrize("field,index,bad", [
+    ("one_body", (0, 0), np.nan),
+    ("one_body", (0, 1), np.inf),
+    ("two_body", (0, 1, 0, 1), np.inf),
+    ("two_body", (1, 1, 1, 1), np.nan),
+])
+def test_tensors_reject_non_finite_entries(field, index, bad):
+    """Checked before the symmetry test, which would only warn on inf - inf."""
+    arrays = {"one_body": np.eye(2), "two_body": np.zeros((2,) * 4)}
+    arrays[field][index] = bad
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        IntegralTensors(2, arrays["one_body"], arrays["two_body"])
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_tensors_reject_non_finite_nuclear_energy(bad):
+    with pytest.raises(ValueError, match="^e_nuc must be finite$"):
+        IntegralTensors(1, np.eye(1), np.zeros((1,) * 4), bad)

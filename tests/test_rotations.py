@@ -5,6 +5,7 @@ import pytest
 from conftest import tensor_gap
 
 from hcbmeasure.rotations import (
+    OrbitalRotation,
     PairingGraph,
     distance_ranked_matchings,
     givens_factorize,
@@ -154,6 +155,14 @@ def test_givens_factorize_round_trip():
         assert 0 <= p < qq < 5
         recon = givens_matrix(5, p, qq, theta) @ recon
     assert np.max(np.abs(recon - q)) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rotation_rejects_non_finite_entries(bad):
+    matrix = np.eye(3)
+    matrix[1, 2] = bad
+    with pytest.raises(ValueError, match="^rotation matrix must be finite$"):
+        OrbitalRotation(matrix)
 
 
 def test_givens_factorize_rejects_non_orthogonal():
