@@ -79,6 +79,8 @@ __all__ = [
 # Cutoff that reproduces the published per-system Pauli-term counts; the
 # working default stays at the much tighter value in ExperimentConfig.
 CALIBRATED_TERM_CUTOFF = 5e-8
+# |residual| (Ha) a batch sweep counts as reaching the target.
+BATCH_ERROR_TARGET = 2e-3
 
 _FLOAT = "%.12e"
 
@@ -151,7 +153,9 @@ class AnsatzSpec:
 
 @dataclass(frozen=True)
 class BatchSpec:
-    """Free-geometry sweep: ``count`` random systems from ``seed`` upward."""
+    """Free-geometry sweep: the whole config on ``count`` random geometries
+    seeded from ``seed`` upward, each with ``random_rotations`` random
+    rotations seeded from its seed * 1000 after the section's graphs."""
 
     count: int = 100
     seed: int = 3000
@@ -461,6 +465,18 @@ def _records_payload(records: list[ProtocolRecord]) -> list[dict]:
     ]
 
 
+def _scenario_protocol(config: ExperimentConfig):
+    """(system, op, state, state_info, records): the config's system, its
+    qubit Hamiltonian, the scenario state and the protocol's records."""
+    system = resolve_system(config)
+    op = build_qubit_hamiltonian(system.tensors, config.ordering,
+                                 config.prune_threshold)
+    rotations = build_rotations(config, system)
+    state, state_info = prepare_scenario_state(config, system, op)
+    records = run_protocol(system.tensors, rotations, state, config.ordering)
+    return system, op, state, state_info, records
+
+
 def cmd_decompose(config: ExperimentConfig) -> dict:
     """Run the iterative protocol; emit the error curve + step records.
 
@@ -470,12 +486,7 @@ def cmd_decompose(config: ExperimentConfig) -> dict:
     if config.batch is not None:
         return _cmd_decompose_batch(config)
     out = _out_dir(config)
-    system = resolve_system(config)
-    op = build_qubit_hamiltonian(system.tensors, config.ordering,
-                                 config.prune_threshold)
-    rotations = build_rotations(config, system)
-    state, state_info = prepare_scenario_state(config, system, op)
-    records = run_protocol(system.tensors, rotations, state, config.ordering)
+    system, _, _, state_info, records = _scenario_protocol(config)
     (out / "error_curve.csv").write_text(records_to_csv(records))
     payload = {
         "system": system.label,
@@ -491,25 +502,14 @@ def cmd_decompose(config: ExperimentConfig) -> dict:
     return payload
 
 
-def _free_geometry_job(args: tuple) -> dict:
+def _free_geometry_job(config: ExperimentConfig) -> dict:
     """One free-geometry protocol run (worker-pool entry point)."""
-    (seed, n_atoms, spacing, ordering, auto_graphs, random_rotations,
-     theta, error_target) = args
-    geometry = build_geometry(n_atoms, spacing, "random", seed)
-    tensors = minimal_basis_integrals(geometry)
-    op = build_qubit_hamiltonian(tensors, ordering)
-    _, state = ground_state(op, n_atoms, ordering)
-    ranked = (distance_ranked_matchings(_distance_matrix(geometry), auto_graphs)
-              if auto_graphs else [])
-    rotations = [graph_rotation(g, theta) for g in ranked]
-    rotations += [random_orthogonal_rotation(n_atoms, seed * 1000 + k)
-                  for k in range(random_rotations)]
-    records = run_protocol(tensors, rotations, state, ordering)
+    records = _scenario_protocol(config)[-1]
     best = min(records, key=lambda r: r.abs_error)
-    reaching = [r.step for r in records if r.abs_error <= error_target]
+    reaching = [r.step for r in records if r.abs_error <= BATCH_ERROR_TARGET]
     return {
-        "seed": seed,
-        "n_rotations": len(rotations),
+        "seed": config.system.seed,
+        "n_rotations": len(records),
         "best_step": best.step,
         "best_abs_error": best.abs_error,
         "steps_to_target": reaching[0] if reaching else -1,
@@ -522,26 +522,35 @@ def _cmd_decompose_batch(config: ExperimentConfig) -> dict:
     out = _out_dir(config)
     batch = config.batch
     assert batch is not None
-    spec = config.system
+    spec, rotations = config.system, config.rotations
     if spec.fcidump or spec.xyz:
         raise ValueError("batch mode generates its own random geometries; "
                          "use a shape-based system section")
-    error_target = 2e-3
+    per_seed = [name for name, given in (
+        ("system.seed", spec.seed is not None),
+        ("rotations.random_count", rotations.random_count != 0),
+        ("rotations.random_seed", rotations.random_seed != 0)) if given]
+    if per_seed:
+        raise ValueError(f"batch mode sets {', '.join(per_seed)} per seed; use "
+                         "batch.seed and batch.random_rotations instead")
     # default: the top 5 pairing graphs, or all (n-1)!! when there are
     # fewer (none for odd n); an explicit auto_graphs, 0 included, wins
     n = spec.n_atoms
     n_matchings = math.prod(range(n - 1, 0, -2)) if n % 2 == 0 else 0
-    auto_graphs = config.rotations.auto_graphs
+    auto_graphs = rotations.auto_graphs
     if auto_graphs is None:
         auto_graphs = min(5, n_matchings)
-    if not auto_graphs and not batch.random_rotations:
-        raise ValueError("the rotation set is empty; give auto_graphs or "
-                         "batch random_rotations")
+    if not (rotations.graphs or auto_graphs or batch.random_rotations):
+        raise ValueError("the rotation set is empty; give graphs, auto_graphs "
+                         "or batch random_rotations")
+    rotations = dataclasses.replace(rotations, auto_graphs=auto_graphs,
+                                    random_count=batch.random_rotations)
     jobs = [
-        (batch.seed + k, spec.n_atoms, spec.spacing, config.ordering,
-         auto_graphs, batch.random_rotations, config.rotations.theta,
-         error_target)
-        for k in range(batch.count)
+        dataclasses.replace(
+            config, batch=None,
+            system=dataclasses.replace(spec, shape="random", seed=seed),
+            rotations=dataclasses.replace(rotations, random_seed=seed * 1000))
+        for seed in range(batch.seed, batch.seed + batch.count)
     ]
     if config.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(config.workers) as pool:
@@ -561,7 +570,7 @@ def _cmd_decompose_batch(config: ExperimentConfig) -> dict:
 
     best_errors = np.array([r["best_abs_error"] for r in results])
     best_steps = np.array([r["best_step"] for r in results])
-    reached = best_errors <= error_target
+    reached = best_errors <= BATCH_ERROR_TARGET
 
     def stats(mask: np.ndarray) -> dict:
         if not np.any(mask):
@@ -579,7 +588,7 @@ def _cmd_decompose_batch(config: ExperimentConfig) -> dict:
     payload = {
         "system": f"H{spec.n_atoms}-random",
         "batch_count": batch.count,
-        "error_target": error_target,
+        "error_target": BATCH_ERROR_TARGET,
         "unfiltered": stats(np.ones(len(results), dtype=bool)),
         "filtered": stats(reached),
         "reached_target_fraction": float(np.mean(reached)),
@@ -620,12 +629,7 @@ def cmd_groups(config: ExperimentConfig) -> dict:
 def cmd_shots(config: ExperimentConfig) -> dict:
     """Shot-estimate table across grouping methods on the scenario state."""
     out = _out_dir(config)
-    system = resolve_system(config)
-    op = build_qubit_hamiltonian(system.tensors, config.ordering,
-                                 config.prune_threshold)
-    rotations = build_rotations(config, system)
-    state, state_info = prepare_scenario_state(config, system, op)
-    records = run_protocol(system.tensors, rotations, state, config.ordering)
+    system, op, state, state_info, records = _scenario_protocol(config)
 
     methods = {
         "LF": estimate_shots(lf_grouping(op), state, config.epsilon),
@@ -689,7 +693,9 @@ def cmd_sample(config: ExperimentConfig) -> dict:
     plan = _sampling_plan(config, system, op, state)
 
     if config.infinite_shots:
-        exact = sum(expectation(st, group.to_sum()) for group, st, _ in plan)
+        exact = 0.0
+        for group, st, _ in plan:  # in finite_sample_experiment's order and rounding
+            exact += expectation(st, group.to_sum())
         energies = np.full(config.repetitions, exact)
         errors = np.zeros(config.repetitions)
         total_shots = 0

@@ -7,10 +7,10 @@ Pauli groups, so it can be measured with three circuit settings.
 
 The protocol repeats the split under a sequence of orbital rotations:
 rotate the residual tensors into a new basis, peel off the layer that is
-cheap to measure there, evaluate it on the rotated state, and rotate the
-(shrunken) residual back.  Truncating after any step leaves an explicit
-residual operator, so the running estimate plus the residual expectation
-always reproduces the exact expectation value.
+cheap to measure there, evaluate it on the state's RDMs rotated into that
+basis, and rotate the (shrunken) residual back.  Truncating after any step
+leaves an explicit residual operator, so the running estimate plus the
+residual expectation always reproduces the exact expectation value.
 """
 
 from __future__ import annotations
@@ -23,18 +23,14 @@ import numpy as np
 from .encoding import build_qubit_hamiltonian, check_ordering, spin_orbital_index
 from .groups import CommutingGroup
 from .integrals import IntegralTensors, rdm_expectation
-from .rotations import OrbitalRotation, rotate_integrals
-from .simulator import (
-    Statevector,
-    apply_circuit,
-    expectation,
-    rotation_circuit,
-    spin_summed_rdms,
-)
+from .rotations import OrbitalRotation, rotate_array, rotate_integrals
+from .simulator import Statevector, spin_blocks, spin_rdms
 
 # Off-diagonal paired-layer strings at or below this magnitude are float
 # residues of terms the tensor's index symmetry cancels exactly.
 CANCELLATION_TOL = 1e-10
+# Largest |cumulative + residual - <H>| (Ha) run_protocol accepts at a step.
+TELESCOPING_TOL = 1e-8
 
 
 def _layer_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -143,6 +139,17 @@ class ProtocolRecord:
     abs_error: float
 
 
+def _group_values(
+    layer: IntegralTensors, one_rdm: np.ndarray, two_rdm: np.ndarray, opposite: np.ndarray
+) -> tuple[float, float, float]:
+    """(<layer> - off, off/2, off/2) from the RDMs in the layer's basis, off
+    being the layer's opposite-spin pair hops and exchanges (see run_protocol)."""
+    g, apart = layer.two_body, ~np.eye(layer.n_orbitals, dtype=bool)
+    off = 0.5 * sum(float(np.sum((np.einsum(p, g) * np.einsum(p, opposite))[apart]).real)
+                    for p in ("kkmm->km", "kmmk->km"))
+    return rdm_expectation(layer, one_rdm, two_rdm) - off, 0.5 * off, 0.5 * off
+
+
 def run_protocol(
     tensors: IntegralTensors,
     rotations: list[OrbitalRotation],
@@ -152,54 +159,56 @@ def run_protocol(
     """Measure the Hamiltonian layer by layer under a rotation sequence.
 
     Step k rotates the current residual tensors by rotations[k], extracts
-    the paired layer there, evaluates its three groups on the rotated
-    state, and rotates the remaining residual back to the reference
-    basis.  The cumulative estimate after the final step is the protocol's
-    approximation of <state|H|state>; the exact value is always
-    cumulative + residual_expectation, whatever the truncation, so each
-    record's abs_error is |residual_expectation|.
+    the paired layer there, evaluates its three groups, and rotates the
+    remaining residual back to the reference basis.  The cumulative
+    estimate after the final step is the protocol's approximation of
+    <state|H|state>; the exact value is always cumulative +
+    residual_expectation, whatever the truncation, so each record's
+    abs_error is |residual_expectation|.
 
-    The groups are what the protocol measures, so their values come from
-    the rotated state.  The residual is only the truncation error: the
-    state's spin-summed 1- and 2-RDM are built once per call and each
-    step's residual tensors are contracted with them.
+    Every number comes from one RDM pass over the state (spin_rdms): the
+    spin-summed D and G and the opposite-spin part O of G.  The residual
+    is contracted with D and G; the layer with D and G rotated into the
+    step's basis (rotate_array).  Its off-diagonal part, the pair hops
+    g[k,k,m,m] and exchanges g[k,m,m,k] (k != m) on opposite spins, is
+    off = 1/2 sum g*O there.  Groups 2 and 3 each hold half of it, and
+    their difference shifts N by 4 or S_z by 2, so on a state inside one
+    (N_alpha, N_beta) block each is off/2; group 1 is the rest.  A state
+    spanning several blocks raises, and so does a step whose cumulative +
+    residual misses <H> from D and G by more than TELESCOPING_TOL.
     """
     check_ordering(ordering)
     if not rotations:
         raise ValueError("at least one rotation is required")
     n = tensors.n_orbitals
     if state.n_qubits != 2 * n:
+        raise ValueError(f"state has {state.n_qubits} qubits, expected {2 * n}")
+    blocks = spin_blocks(state, ordering)
+    if len(blocks) > 1:
         raise ValueError(
-            f"state has {state.n_qubits} qubits, expected {2 * n}"
-        )
-    one_rdm, two_rdm = spin_summed_rdms(state, ordering)
+            f"state spans the (N_alpha, N_beta) blocks {blocks} of the {ordering} "
+            "layout; the group values need a state inside one block")
+    rdms = spin_rdms(state, ordering)
+    exact = rdm_expectation(tensors, *rdms[:2])
     residual = tensors.copy()
     cumulative = 0.0
     records = []
     for step, rotation in enumerate(rotations, start=1):
         if rotation.n_orbitals != n:
             raise ValueError(f"rotation {step} size does not match tensors")
-        rotated = rotate_integrals(residual, rotation)
-        layer, rest = extract_hcb(rotated)
-        groups = hcb_to_groups(layer, ordering)
-        target = apply_circuit(state, rotation_circuit(rotation, n, ordering))
-        contributions = tuple(
-            expectation(target, group.to_sum()) for group in groups
-        )
+        layer, rest = extract_hcb(rotate_integrals(residual, rotation))
+        contributions = _group_values(
+            layer, *(rotate_array(rdm, rotation.matrix) for rdm in rdms))
         cumulative += float(sum(contributions))
         residual = rotate_integrals(rest, rotation.transpose())
-        residual_expectation = rdm_expectation(residual, one_rdm, two_rdm)
-        records.append(
-            ProtocolRecord(
-                step=step,
-                rotation=rotation,
-                groups=groups,
-                contributions=contributions,
-                cumulative=cumulative,
-                residual_expectation=residual_expectation,
-                abs_error=abs(residual_expectation),
-            )
-        )
+        residual_expectation = rdm_expectation(residual, *rdms[:2])
+        gap = abs(cumulative + residual_expectation - exact)
+        if gap > TELESCOPING_TOL:
+            raise ValueError(f"step {step}: cumulative + residual misses <H> by "
+                             f"{gap:.3e} Ha (tolerance {TELESCOPING_TOL:g})")
+        records.append(ProtocolRecord(
+            step, rotation, hcb_to_groups(layer, ordering), contributions, cumulative,
+            residual_expectation, abs(residual_expectation)))
     return records
 
 

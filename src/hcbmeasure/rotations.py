@@ -177,27 +177,24 @@ def givens_factorize(matrix: np.ndarray, tol: float = 1e-14):
     return factors, signs
 
 
-def rotate_integrals(tensors: IntegralTensors, rotation) -> IntegralTensors:
-    """Transform tensors into the rotated orbital basis.
+def rotate_array(array: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The array in the basis rotated by r, one r factor per index: r a r^T
+    for a matrix, sum r[k,w] r[l,x] r[m,y] r[n,z] a[w,x,y,z] for a four-index
+    array.  Integral tensors and a state's RDMs change basis alike."""
+    if array.ndim == 2:
+        return r @ array @ r.T
+    return np.einsum("kw,lx,my,nz,wxyz->klmn", r, r, r, r, array, optimize=True)
 
-    one_body -> R h R^T and two_body g[k,l,m,n] -> sum over old labels with
-    one R factor per index; e_nuc is untouched.
-    """
+
+def rotate_integrals(tensors: IntegralTensors, rotation) -> IntegralTensors:
+    """Transform tensors into the rotated orbital basis (see rotate_array);
+    e_nuc is untouched."""
     r = rotation.matrix if isinstance(rotation, OrbitalRotation) else np.asarray(rotation, float)
     n = tensors.n_orbitals
     if r.shape != (n, n):
         raise ValueError(f"rotation shape {r.shape} does not match N={n}")
-    h = r @ tensors.one_body @ r.T
-    g = np.einsum(
-        "kw,lx,my,nz,wxyz->klmn",
-        r,
-        r,
-        r,
-        r,
-        tensors.two_body,
-        optimize=True,
-    )
-    return IntegralTensors(n, h, g, tensors.e_nuc, tensors.basis)
+    return IntegralTensors(n, rotate_array(tensors.one_body, r),
+                           rotate_array(tensors.two_body, r), tensors.e_nuc, tensors.basis)
 
 
 def perfect_matchings(n: int) -> list[tuple[tuple[int, int], ...]]:

@@ -101,6 +101,14 @@ def spin_summed_rdms(
     span every popcount of psi's support, so any state is exact.  The traces
     are checked against <N> and <N(N-1)> before returning.
     """
+    return spin_rdms(state, ordering)[:2]
+
+
+def spin_rdms(
+    state: Statevector, ordering: str = "interleaved"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, G, O): spin_summed_rdms' pair plus the opposite-spin part of G,
+    O[k,l,m,n] = sum_{s != t} <a+_{ks} a+_{lt} a_{nt} a_{ms}>."""
     check_ordering(ordering)
     n_qubits = state.n_qubits
     if n_qubits % 2:
@@ -122,10 +130,24 @@ def spin_summed_rdms(
     so = np.array([[spin_orbital_index(k, s, n, ordering) for s in (0, 1)]
                    for k in range(n)])
     one_rdm = sum(one[np.ix_(so[:, s], so[:, s])] for s in (0, 1))
-    two_rdm = sum(two[np.ix_(so[:, s1], so[:, s2], so[:, s1], so[:, s2])]
-                  for s1 in (0, 1) for s2 in (0, 1))
+    blocks = {(s1, s2): two[np.ix_(so[:, s1], so[:, s2], so[:, s1], so[:, s2])]
+              for s1 in (0, 1) for s2 in (0, 1)}
+    two_rdm = sum(blocks.values())
     _check_rdms(state, one_rdm, two_rdm)
-    return one_rdm, two_rdm
+    return one_rdm, two_rdm, blocks[0, 1] + blocks[1, 0]
+
+
+def spin_blocks(state: Statevector, ordering: str = "interleaved") -> list[tuple[int, int]]:
+    """The (N_alpha, N_beta) blocks of the layout that hold the state's
+    nonzero amplitudes, ascending."""
+    n = state.n_qubits // 2
+    support = np.flatnonzero(state.amplitudes)
+    n_up = np.bitwise_count(support & _up_mask(n, ordering))
+    return sorted(set(zip(n_up.tolist(), (np.bitwise_count(support) - n_up).tolist())))
+
+
+def _up_mask(n_orbitals: int, ordering: str) -> int:
+    return sum(1 << spin_orbital_index(k, 0, n_orbitals, ordering) for k in range(n_orbitals))
 
 
 def _check_rdms(state: Statevector, one_rdm: np.ndarray, two_rdm: np.ndarray) -> None:
@@ -538,11 +560,10 @@ def _spin_block(op: PauliSum, n_electrons: int, ordering: str) -> tuple[np.ndarr
         raise ValueError(f"operator acts on {n_qubits} qubits, expected two per orbital")
     if not 0 <= n_electrons <= n_qubits:
         raise ValueError(f"n_electrons {n_electrons} out of range for {n_qubits} qubits")
-    n = n_qubits // 2
-    up = sum(1 << spin_orbital_index(k, 0, n, ordering) for k in range(n))
     n_up = (n_electrons + 1) // 2
     idx = np.arange(1 << n_qubits, dtype=np.int64)
-    keep = (np.bitwise_count(idx) == n_electrons) & (np.bitwise_count(idx & up) == n_up)
+    keep = ((np.bitwise_count(idx) == n_electrons)
+            & (np.bitwise_count(idx & _up_mask(n_qubits // 2, ordering)) == n_up))
     return idx[keep], n_up
 
 

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hcbmeasure.cli import main
@@ -66,6 +67,21 @@ def test_h4_line_summaries(h4_runs):
         assert payload["total_shots"] > 0
     _, files = h4_runs["sample", "protocol"][0]
     assert len(files["sample.csv"].splitlines()) == 1 + H4_LINE["repetitions"]
+
+
+@pytest.mark.parametrize("method", ["si", "protocol"])
+def test_infinite_shots_report_the_exact_reference(tmp_path, h4_runs, method):
+    config = config_from_dict({**H4_LINE, "sample_method": method, "infinite_shots": True,
+                               "output_dir": str(tmp_path)})
+    payload = COMMANDS["sample"](config)
+    exact = payload["exact_reference"]
+    assert payload["total_shots"] == 0
+    assert exact == h4_runs["sample", method][0][0]["exact_reference"]
+    rows = (tmp_path / "sample.csv").read_text().splitlines()[1:]
+    assert len(rows) == H4_LINE["repetitions"]
+    for k, row in enumerate(rows):
+        assert row == f"{k},{exact:.12e},{0.0:.12e}"
+    assert payload["max_abs_error"] == 0.0
 
 
 def test_batch_decompose_defaults_to_the_available_matchings(tmp_path):
@@ -135,6 +151,48 @@ def test_batch_decompose_is_byte_identical_across_worker_counts(tmp_path):
         files.append({name: (out / name).read_bytes()
                       for name in ("batch.csv", "batch_summary.json")})
     assert files[0] == files[1]
+
+
+BATCH_H4 = {"system": {"n_atoms": 4}, "batch": {"count": 1, "seed": 5, "random_rotations": 1}}
+
+
+def _batch_row(out_dir, data):
+    cmd_decompose(config_from_dict({**data, "output_dir": str(out_dir)}))
+    (row,) = (out_dir / "batch.csv").read_text().splitlines()[1:]
+    return row
+
+
+@pytest.mark.parametrize("fields", [
+    {"system": {"n_atoms": 4, "orbital_mode": "hartree-fock"}},
+    {"prune_threshold": 0.01},
+    {"max_steps": 1},
+    {"rotations": {"graphs": ["0-1,2-3"]}},
+    {"scenario": "II", "ansatz": {"graphs": ["0-1,2-3"], "restarts": 1}},
+], ids=["orbital_mode", "prune_threshold", "max_steps", "graphs", "scenario"])
+def test_batch_job_is_the_single_run_of_its_seed(tmp_path, fields):
+    """A batch row changes with the field and equals decompose on the same
+    config placed on the seed's random geometry and rotations."""
+    row = _batch_row(tmp_path / "batch", {**BATCH_H4, **fields})
+    assert row != _batch_row(tmp_path / "plain", BATCH_H4)
+    single = {**BATCH_H4, **fields}
+    del single["batch"]
+    single["system"] = {**single["system"], "shape": "random", "seed": 5}
+    single["rotations"] = {**single.get("rotations", {}), "auto_graphs": 3,
+                           "random_count": 1, "random_seed": 5000}
+    payload = cmd_decompose(config_from_dict({**single, "output_dir": str(tmp_path / "one")}))
+    assert row.split(",")[:4] == [
+        "5", str(payload["n_steps"]), str(payload["best_step"]),
+        "%.12e" % payload["best_abs_error"]]
+
+
+@pytest.mark.parametrize("fields,name", [
+    ({"system": {"n_atoms": 4, "seed": 1}}, "system.seed"),
+    ({"rotations": {"random_count": 2}}, "rotations.random_count"),
+    ({"rotations": {"auto_graphs": 1, "random_seed": 7}}, "rotations.random_seed"),
+])
+def test_batch_rejects_fields_it_sets_per_seed(tmp_path, fields, name):
+    with pytest.raises(ValueError, match=f"batch mode sets {name} per seed"):
+        _batch_row(tmp_path, {**BATCH_H4, **fields})
 
 
 def test_yaml_exponent_without_point_is_a_float(tmp_path, capsys):
@@ -341,3 +399,29 @@ def test_reordered_layout_reaches_every_ground_state_caller(tmp_path, capsys):
     assert code == 0
     assert payload["exact_energy"] == reordered["ground_energy"]
     assert payload["state_energy"] >= payload["exact_energy"]
+
+
+# decompose's records on the H4 line (both orderings) and on H4 Scenario II,
+# taken from the Pauli-evaluated protocol: the behaviour gate of the protocol
+PROTOCOL_PINS = json.loads(
+    (Path(__file__).parent / "data" / "protocol_pins.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(PROTOCOL_PINS))
+def test_decompose_records_are_pinned(tmp_path, case):
+    pin = PROTOCOL_PINS[case]
+    payload = cmd_decompose(config_from_dict({**pin["config"], "output_dir": str(tmp_path)}))
+    assert payload["best_step"] == pin["best_step"]
+    got, want = payload["records"], pin["records"]
+    assert [(r["step"], r["rotation"]) for r in got] == \
+        [(r["step"], r["rotation"]) for r in want]
+    for r, w in zip(got, want):
+        values = [*r["contributions"], r["cumulative"], r["residual_expectation"],
+                  r["abs_error"]]
+        pinned = [*w["contributions"], w["cumulative"], w["residual_expectation"],
+                  w["abs_error"]]
+        assert np.max(np.abs(np.subtract(values, pinned))) <= 1e-12
+    rows = (tmp_path / "error_curve.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(want)
+    for row, w in zip(rows, want):
+        assert row.startswith(f"{w['step']},{w['rotation']},")

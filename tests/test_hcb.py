@@ -6,7 +6,8 @@ from conftest import membership_digest, random_tensors, sum_gap
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcbmeasure.encoding import ORDERINGS, build_qubit_hamiltonian
+import hcbmeasure.hcb as hcb
+from hcbmeasure.encoding import ORDERINGS, build_qubit_hamiltonian, spin_orbital_index
 from hcbmeasure.hcb import (
     _layer_masks,
     extract_hcb,
@@ -26,6 +27,7 @@ from hcbmeasure.simulator import (
     Statevector,
     _check_rdms,
     apply_circuit,
+    build_pair_ansatz,
     expectation,
     ground_state,
     rotation_circuit,
@@ -37,6 +39,17 @@ def _random_state(n_qubits, seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=2 ** n_qubits) + 1j * rng.normal(size=2 ** n_qubits)
     return Statevector(n_qubits, v / np.linalg.norm(v))
+
+
+def _random_block_state(n, n_alpha, n_beta, seed, ordering="interleaved"):
+    """A random complex state on the (n_alpha, n_beta) block of the layout."""
+    rng = np.random.default_rng(seed)
+    idx = np.arange(4 ** n)
+    up = sum(1 << spin_orbital_index(k, 0, n, ordering) for k in range(n))
+    n_up = np.bitwise_count(idx & up)
+    inside = (n_up == n_alpha) & (np.bitwise_count(idx) - n_up == n_beta)
+    v = np.where(inside, rng.normal(size=4 ** n) + 1j * rng.normal(size=4 ** n), 0.0)
+    return Statevector(2 * n, v / np.linalg.norm(v))
 
 
 def _pattern_oracle(tensors):
@@ -297,7 +310,7 @@ def test_small_random_rotations_reconstruct(n, seed):
     tensors = random_tensors(n, seed)
     rotations = [random_orthogonal_rotation(n, seed=seed * 10 + k)
                  for k in range(3)]
-    state = _random_state(2 * n, seed)
+    state = _random_block_state(n, n - 1, 1, seed)
     exact = expectation(
         state, build_qubit_hamiltonian(tensors, "interleaved", 0.0))
     records = run_protocol(tensors, rotations, state)
@@ -345,12 +358,14 @@ def test_protocol_residual_matches_pauli_path(h4_tensors, h4_rotations, h4_groun
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(n=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
-       n_rotations=st.integers(1, 3), ordering=st.sampled_from(ORDERINGS))
-def test_telescoping_identity_property(n, seed, n_rotations, ordering):
+       n_rotations=st.integers(1, 3), ordering=st.sampled_from(ORDERINGS),
+       data=st.data())
+def test_telescoping_identity_property(n, seed, n_rotations, ordering, data):
     tensors = random_tensors(n, seed, e_nuc=0.5)
     rotations = [random_orthogonal_rotation(n, seed=seed + k)
                  for k in range(n_rotations)]
-    state = _random_state(2 * n, seed)
+    n_alpha, n_beta = data.draw(st.tuples(st.integers(0, n), st.integers(0, n)))
+    state = _random_block_state(n, n_alpha, n_beta, seed, ordering)
     exact = expectation(state, build_qubit_hamiltonian(tensors, ordering, 0.0))
     for record in run_protocol(tensors, rotations, state, ordering):
         assert abs(record.cumulative + record.residual_expectation - exact) < 1e-10
@@ -388,3 +403,66 @@ def test_rdm_checks_reject_corrupted_pairs(h4_ground):
 def test_rdm_expectation_rejects_mismatched_shapes(h4_tensors):
     with pytest.raises(ValueError, match="do not match N=4"):
         rdm_expectation(h4_tensors, np.zeros((3, 3)), np.zeros((3,) * 4))
+
+
+# ---------------------------------------------------------------------------
+# the group values from the RDMs against the rotated-state Pauli route,
+# which stays the oracle
+
+
+def _assert_values_match_pauli_route(tensors, rotations, state, ordering):
+    n = tensors.n_orbitals
+    for record in run_protocol(tensors, rotations, state, ordering):
+        rotated = apply_circuit(state, rotation_circuit(record.rotation, n, ordering))
+        pauli = [expectation(rotated, group.to_sum()) for group in record.groups]
+        assert np.max(np.abs(np.subtract(record.contributions, pauli))) < 1e-12
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+@pytest.mark.parametrize("system", ["h2", "h4", "h6"])
+def test_group_values_match_the_pauli_route_on_ground_states(request, system, ordering):
+    tensors = request.getfixturevalue(f"{system}_tensors")
+    n = tensors.n_orbitals
+    coords = np.asarray(request.getfixturevalue(f"{system}_geometry").coordinates)
+    distances = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=-1)
+    rotations = [graph_rotation(g) for g in distance_ranked_matchings(distances, 1)]
+    rotations += [random_orthogonal_rotation(n, seed) for seed in (3, 4)]
+    _, state = ground_state(build_qubit_hamiltonian(tensors, ordering), n, ordering)
+    _assert_values_match_pauli_route(tensors, rotations, state, ordering)
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+def test_group_values_match_the_pauli_route_on_a_pair_ansatz_state(
+        h4_tensors, h4_graphs, h4_rotations, ordering):
+    ansatz = build_pair_ansatz(list(h4_graphs[:2]), ordering)
+    params = np.random.default_rng(5).uniform(-1, 1, ansatz.n_parameters)
+    rotations = [*h4_rotations, random_orthogonal_rotation(4, 6)]
+    _assert_values_match_pauli_route(h4_tensors, rotations, ansatz.prepare(params),
+                                     ordering)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(n=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
+       ordering=st.sampled_from(ORDERINGS), data=st.data())
+def test_group_values_match_the_pauli_route_on_random_block_states(n, seed, ordering, data):
+    n_alpha, n_beta = data.draw(st.tuples(st.integers(0, n), st.integers(0, n)))
+    tensors = random_tensors(n, seed, e_nuc=0.5)
+    rotations = [random_orthogonal_rotation(n, seed + k) for k in range(2)]
+    state = _random_block_state(n, n_alpha, n_beta, seed, ordering)
+    _assert_values_match_pauli_route(tensors, rotations, state, ordering)
+
+
+def test_protocol_rejects_a_state_spanning_two_blocks(h2_tensors):
+    amps = np.zeros(16)
+    amps[0b0011] = amps[0b0101] = np.sqrt(0.5)  # interleaved: (1, 1) and (2, 0)
+    with pytest.raises(ValueError, match=r"blocks \[\(1, 1\), \(2, 0\)\]"):
+        run_protocol(h2_tensors, [identity_rotation(2)], Statevector(4, amps))
+
+
+def test_protocol_raises_on_a_wrongly_rotated_rdm(monkeypatch, h4_tensors, h4_rotations,
+                                                 h4_ground):
+    """RDMs rotated by R^T instead of R break cumulative + residual = <H>."""
+    rotate = hcb.rotate_array
+    monkeypatch.setattr(hcb, "rotate_array", lambda array, r: rotate(array, r.T))
+    with pytest.raises(ValueError, match=r"^step 1: cumulative \+ residual misses <H> by"):
+        run_protocol(h4_tensors, h4_rotations[1:], h4_ground[1])

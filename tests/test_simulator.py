@@ -40,6 +40,7 @@ from hcbmeasure.simulator import (
     pauli_expectations,
     rotation_circuit,
     sample_group,
+    spin_blocks,
 )
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -320,15 +321,6 @@ def _n_sector_ground_state(op: PauliSum, n_electrons: int):
     return energy, full
 
 
-def _spin_counts(state: Statevector, ordering: str) -> set[tuple[int, int]]:
-    """The (N_alpha, N_beta) of every basis state in the state's support."""
-    n = state.n_qubits // 2
-    up = sum(1 << spin_orbital_index(k, 0, n, ordering) for k in range(n))
-    support = np.flatnonzero(state.amplitudes)
-    n_up = np.bitwise_count(support & up)
-    return set(zip(n_up.tolist(), (np.bitwise_count(support) - n_up).tolist()))
-
-
 @pytest.mark.parametrize("ordering", ORDERINGS)
 @pytest.mark.parametrize("system", ["h2", "h4", "h6"])
 def test_ground_state_matches_the_n_sector_oracle(request, system, ordering):
@@ -339,7 +331,7 @@ def test_ground_state_matches_the_n_sector_oracle(request, system, ordering):
     want_energy, want_vec = _n_sector_ground_state(op, n)
     assert abs(energy - want_energy) < 1e-10
     assert abs(np.vdot(want_vec, state.amplitudes)) >= 1 - 1e-12
-    assert _spin_counts(state, ordering) == {(n // 2, n // 2)}
+    assert spin_blocks(state, ordering) == [(n // 2, n // 2)]
 
 
 @pytest.mark.parametrize("ordering", ORDERINGS)
@@ -354,7 +346,7 @@ def test_ground_state_of_odd_n_is_an_eigenvector_of_the_n_sector(h4_tensors, ord
     energy, state = ground_state(op, 3, ordering=ordering)
     want_energy, _ = _n_sector_ground_state(op, 3)
     assert abs(energy - want_energy) < 1e-10
-    assert _spin_counts(state, ordering) == {(2, 1)}
+    assert spin_blocks(state, ordering) == [(2, 1)]
     sector, mat = _n_sector_matrix(op, 3)
     v = state.amplitudes[sector]
     assert np.linalg.norm(mat @ v - energy * v) < 1e-8
