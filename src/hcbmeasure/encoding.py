@@ -20,6 +20,7 @@ from .paulis import PauliString, PauliSum
 ORDERINGS = ("interleaved", "reordered")
 
 LadderOps = tuple[tuple[int, bool], ...]  # ((spin_orbital, is_creation), ...)
+_Batch = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # (position, coeff, index, creation)
 
 IMAG_TOL = 1e-10  # largest imaginary residue an encoded Hermitian term may carry
 ZERO_TOL = 1e-14  # integrals at or below this magnitude contribute no terms
@@ -121,25 +122,38 @@ def jw_encode(
     in their given order, one rounding per entry, so the result does not
     depend on how the entries are batched.
     """
-    if not 1 <= n_qubits <= 64:
-        raise ValueError(f"jw_encode takes 1 to 64 qubits, got {n_qubits}")
     by_length: dict[int, tuple[list[int], list[complex], list[LadderOps]]] = {}
     for position, (coeff, ops) in enumerate(terms):
         positions, coeffs, products = by_length.setdefault(len(ops), ([], [], []))
         positions.append(position)
         coeffs.append(coeff)
         products.append(ops)
-    parts = []
+    batches = []
     for k, (positions, coeffs, products) in by_length.items():
         table = np.array(products, dtype=np.int64).reshape(len(products), k, 2)
-        index = table[:, :, 0]
+        batches.append((np.array(positions), np.array(coeffs, dtype=complex),
+                        table[:, :, 0], table[:, :, 1].astype(bool)))
+    return _encode_batches(n_qubits, batches)
+
+
+def _encode_batches(n_qubits: int, batches: Iterable[_Batch]) -> PauliSum:
+    """jw_encode of entries given as arrays, one batch per product length.
+
+    A batch is (position, coeff, index, creation): the entries' positions in
+    the whole list (which fix each string's summation order), their complex
+    coefficients, and (T, k) arrays of their spin orbitals and creation flags.
+    """
+    if not 1 <= n_qubits <= 64:
+        raise ValueError(f"jw_encode takes 1 to 64 qubits, got {n_qubits}")
+    parts = []
+    for positions, coeffs, index, creation in batches:
         out_of_range = index[(index < 0) | (index >= n_qubits)]
         if len(out_of_range):
             _check_spin_orbital(n_qubits, int(out_of_range[0]))
-        row, x, z, re, im = _product_images(index.astype(np.uint64), table[:, :, 1].astype(bool))
-        c = np.array(coeffs, dtype=complex)[row]
+        row, x, z, re, im = _product_images(index.astype(np.uint64), creation)
+        c = coeffs[row]
         # the textbook complex product, rounded as Python's and NumPy's are
-        parts.append((np.array(positions)[row], x, z,
+        parts.append((positions[row], x, z,
                       c.real * re - c.imag * im, c.real * im + c.imag * re))
     if not parts:
         return PauliSum(n_qubits)
@@ -175,41 +189,40 @@ def jw_encode(
     })
 
 
-def hamiltonian_terms(
-    tensors: IntegralTensors, ordering: str = "interleaved"
-) -> list[tuple[float, LadderOps]]:
-    """Spin-summed second-quantized term list for the given tensors."""
+def _hamiltonian_batches(tensors: IntegralTensors, ordering: str) -> list[_Batch]:
+    """The spin-summed second-quantized entries of the tensors as batches.
+
+    Entry order: e_nuc (if nonzero); h[k,l] a+_ks a_ls over (k, l)
+    row-major, then s; 1/2 g[k,l,m,n] a+_ks1 a+_ls2 a_ns2 a_ms1 over
+    (k, l, m, n) row-major, then (s1, s2).  Integrals at or below ZERO_TOL
+    (after halving, for g) give no entries.
+    """
     check_ordering(ordering)
     n = tensors.n_orbitals
-    so = [[spin_orbital_index(k, s, n, ordering) for s in range(2)] for k in range(n)]
-    terms: list[tuple[float, LadderOps]] = []
-    if tensors.e_nuc != 0.0:
-        terms.append((tensors.e_nuc, ()))
+    so = np.array([[spin_orbital_index(k, s, n, ordering) for s in range(2)] for k in range(n)])
+    entries = [] if tensors.e_nuc == 0.0 else [
+        (np.array([tensors.e_nuc]), np.zeros((1, 0), dtype=np.int64), ())]
     h = tensors.one_body
-    g = tensors.two_body
-    for k in range(n):
-        for l in range(n):
-            if abs(h[k, l]) <= ZERO_TOL:
-                continue
-            for s in range(2):
-                terms.append((h[k, l], ((so[k][s], True), (so[l][s], False))))
-    for k in range(n):
-        for l in range(n):
-            for m in range(n):
-                for nn in range(n):
-                    coeff = 0.5 * g[k, l, m, nn]
-                    if abs(coeff) <= ZERO_TOL:
-                        continue
-                    for s1 in range(2):
-                        for s2 in range(2):
-                            ops = (
-                                (so[k][s1], True),
-                                (so[l][s2], True),
-                                (so[nn][s2], False),
-                                (so[m][s1], False),
-                            )
-                            terms.append((coeff, ops))
-    return terms
+    k, l = np.nonzero(np.abs(h) > ZERO_TOL)
+    s = np.arange(2)
+    entries.append((np.repeat(h[k, l], 2),
+                    np.stack([so[k[:, None], s], so[l[:, None], s]], axis=-1).reshape(-1, 2),
+                    (True, False)))
+    half = 0.5 * tensors.two_body
+    k, l, m, nn = np.nonzero(np.abs(half) > ZERO_TOL)
+    s1, s2 = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+    entries.append((np.repeat(half[k, l, m, nn], 4),
+                    np.stack([so[k[:, None], s1], so[l[:, None], s2],
+                              so[nn[:, None], s2], so[m[:, None], s1]], axis=-1).reshape(-1, 4),
+                    (True, True, False, False)))
+    batches = []
+    offset = 0
+    for coeffs, index, creation in entries:
+        flags = np.broadcast_to(np.array(creation, dtype=bool), index.shape)
+        batches.append((np.arange(offset, offset + len(coeffs)), coeffs.astype(complex),
+                        index, flags))
+        offset += len(coeffs)
+    return batches
 
 
 def build_qubit_hamiltonian(
@@ -219,5 +232,5 @@ def build_qubit_hamiltonian(
 ) -> PauliSum:
     """Full qubit Hamiltonian of the tensors, pruned of negligible terms."""
     n_qubits = 2 * tensors.n_orbitals
-    encoded = jw_encode(n_qubits, hamiltonian_terms(tensors, ordering))
+    encoded = _encode_batches(n_qubits, _hamiltonian_batches(tensors, ordering))
     return encoded.prune(prune_threshold)

@@ -699,7 +699,7 @@ def cmd_sample(config: ExperimentConfig) -> dict:
         energies = np.full(config.repetitions, exact)
         errors = np.zeros(config.repetitions)
         total_shots = 0
-        exact_reference = exact
+        exact_reference = mean_energy = exact  # np.mean of the copies can miss it by an ulp
     else:
         result = finite_sample_experiment(plan, repetitions=config.repetitions,
                                           seed=config.seed)
@@ -707,6 +707,7 @@ def cmd_sample(config: ExperimentConfig) -> dict:
         errors = result.errors
         total_shots = int(result.total_shots)
         exact_reference = result.exact
+        mean_energy = float(np.mean(energies))
 
     rows = [f"{k},{_FLOAT % energies[k]},{_FLOAT % errors[k]}"
             for k in range(len(energies))]
@@ -721,10 +722,10 @@ def cmd_sample(config: ExperimentConfig) -> dict:
         "total_shots": total_shots,
         "exact_reference": float(exact_reference),
         **state_info,
-        "mean_energy": float(np.mean(energies)),
+        "mean_energy": mean_energy,
         "mean_abs_error": float(np.mean(errors)),
         "max_abs_error": float(np.max(errors)),
-        "error_of_mean": float(abs(np.mean(energies) - exact_reference)),
+        "error_of_mean": abs(mean_energy - exact_reference),
     }
     _write_json(out / "sample_summary.json", payload)
     return payload

@@ -34,6 +34,7 @@ SIGN_BLOCK = 1 << 21  # entries of one pauli_expectations sign matrix (16 MiB)
 START_SPREAD = 0.8  # optimize_ansatz draws start angles from [-START_SPREAD, START_SPREAD]
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
+_I_POWERS = np.array([1, 1j, -1, -1j])  # i^k; a string is i^|x&z| X^x Z^z, one i per Y = iXZ
 
 
 @dataclass
@@ -467,7 +468,10 @@ def _cost_on_block(ansatz: PairAnsatz, block: np.ndarray, mat: scipy.sparse.csr_
                 f"prepared state leaves the {ansatz.n_electrons}-electron sector's "
                 f"(N_alpha, N_beta) = ({half}, {half}) block")
         v = amps[block]
-        return _real_value(np.vdot(v, mat @ v))
+        # a real-valued state meets a real block in a real product; the dot
+        # stays complex, since a real one rounds differently and L-BFGS-B's
+        # finite differences amplify a last-bit change
+        return _real_value(np.vdot(v, mat @ (v if np.any(v.imag) else v.real)))
 
     return cost
 
@@ -482,11 +486,6 @@ def _real_value(total: complex) -> float:
     if abs(total.imag) > 1e-8:
         raise ValueError(f"expectation has imaginary residue {total.imag:.3e}")
     return float(total.real)
-
-
-def _y_phase(x_mask: int, z_mask: int) -> complex:
-    """i^|x&z|: a string is this phase times X^x Z^z, one i per Y = iXZ."""
-    return 1.0j ** ((x_mask & z_mask).bit_count() % 4)
 
 
 def _x_patterns(strings: Sequence[PauliString], n_qubits: int) -> dict[int, dict[int, list[int]]]:
@@ -567,11 +566,30 @@ def _spin_block(op: PauliSum, n_electrons: int, ordering: str) -> tuple[np.ndarr
     return idx[keep], n_up
 
 
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """Column sums of a C-ordered 2-D array, each added row by row, first row first.
+
+    NumPy reduces axis 0 of such an array one row at a time; a single column
+    it would sum pairwise, as a 1-D array, so that one is accumulated.
+    """
+    if rows.shape[1] == 1:
+        return np.add.accumulate(rows[:, 0])[-1:]
+    return rows.sum(axis=0)
+
+
 def _block_operator(
     op: PauliSum, n_electrons: int, ordering: str
 ) -> tuple[np.ndarray, scipy.sparse.csr_matrix]:
     """The spin block of n_electrons in the layout (see _spin_block) and
-    op's matrix on it.
+    op's matrix on it: float64 when no string of op has an odd Y count,
+    complex otherwise.
+
+    A string is i^|x&z| X^x Z^z, so its element from basis state b to
+    b ^ x is c i^|x&z| (-1)^|b&z|, real for an even Y count |x&z|.  The
+    strings of one X-pattern (see _x_patterns) share every target, so each
+    pattern's elements are one sign matrix, a row per string and a column
+    per source state, times the phased coefficients, summed row by row in
+    term order.
 
     Every element from a block state into the N-electron sector is
     computed, those that land outside the block too; raises unless each
@@ -583,20 +601,24 @@ def _block_operator(
     block, n_up = _spin_block(op, n_electrons, ordering)
     position = np.full(1 << op.n_qubits, -1, dtype=np.int64)
     position[block] = np.arange(len(block))
+    terms = op.terms()
+    strings = [s for s, _ in terms]
+    x_masks = np.array([s.x_mask for s in strings], dtype=np.int64)
+    z_masks = np.array([s.z_mask for s in strings], dtype=np.int64)
+    y_counts = np.bitwise_count(x_masks & z_masks)
+    phased = np.array([c for _, c in terms], dtype=float) * _I_POWERS[y_counts % 4]
+    if not np.any(y_counts & 1):
+        phased = np.ascontiguousarray(phased.real)
     rows, cols, vals = [], [], []
     leak = 0.0
-    terms = op.terms()
-    for x_mask, by_z in _x_patterns([s for s, _ in terms], op.n_qubits).items():
+    for x_mask, by_z in _x_patterns(strings, op.n_qubits).items():
         target = block ^ x_mask
         src = np.flatnonzero(np.bitwise_count(target) == n_electrons)
         if len(src) == 0:
             continue
-        sources = block[src]
-        amp = np.zeros(len(src), dtype=complex)  # entry <target| op |source>
-        for z_mask, positions in by_z.items():
-            for i in positions:
-                phased = terms[i][1] * _y_phase(x_mask, z_mask)
-                amp += phased * (1.0 - 2.0 * _parity(sources, z_mask))
+        members = [i for positions in by_z.values() for i in positions]
+        signs = 1.0 - 2.0 * _parity(block[src], z_masks[members, None])
+        amp = _row_sums(phased[members, None] * signs)  # entry <target| op |source>
         tgt = position[target[src]]
         inside = tgt >= 0
         if not np.all(inside):
@@ -611,7 +633,7 @@ def _block_operator(
             f"it is not spin-free in that layout")
     dim = len(block)
     if not rows:
-        return block, scipy.sparse.csr_matrix((dim, dim), dtype=complex)
+        return block, scipy.sparse.csr_matrix((dim, dim), dtype=phased.dtype)
     mat = scipy.sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dim, dim))
@@ -636,11 +658,15 @@ def ground_state(
     elsewhere in the N sector (see _block_operator), so a wrong layout or
     a spin-mixing operator fails instead of returning a block-only answer.
 
-    Uses a dense solve for the lowest eigenpair only up to the dense cutoff
-    (ARPACK cannot take 1-dimensional blocks), iterative (Lanczos-type)
-    diagonalization above it, and verifies the eigenpair residual before
-    returning.  Lanczos starts from a fixed generic (seeded normal) vector,
-    so the result is the same in every process.
+    The block matrix is float64 when no string of op has an odd Y count,
+    as for every build_qubit_hamiltonian output, and the solve then runs in
+    real arithmetic; otherwise both are complex.  The returned Statevector
+    is complex either way.  Uses a dense solve for the lowest eigenpair
+    only up to the dense cutoff (ARPACK cannot take 1-dimensional blocks),
+    iterative (Lanczos-type) diagonalization above it, and verifies the
+    eigenpair residual before returning.  Lanczos starts from a fixed
+    generic (seeded normal) vector, so the result is the same in every
+    process.
     """
     return _block_ground_state(op.n_qubits, *_block_operator(op, n_electrons, ordering))
 
@@ -655,7 +681,8 @@ def _block_ground_state(
 
 
 def _lowest_eigenpair(mat: scipy.sparse.csr_matrix) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of a Hermitian sparse matrix, residual-checked."""
+    """Lowest eigenpair of a Hermitian sparse matrix, residual-checked; the
+    vector has the matrix's dtype."""
     dim = mat.shape[0]
     if dim <= DENSE_EIG_LIMIT:
         vals, vecs = scipy.linalg.eigh(mat.toarray(), subset_by_index=[0, 0])

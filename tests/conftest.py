@@ -4,12 +4,21 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from hcbmeasure.encoding import build_qubit_hamiltonian
 from hcbmeasure.geometry import build_geometry
 from hcbmeasure.integrals import IntegralTensors, minimal_basis_integrals
 from hcbmeasure.rotations import PairingGraph, graph_rotation
-from hcbmeasure.simulator import Statevector, apply_circuit, ground_state
+from hcbmeasure.simulator import (
+    LEAK_TOL,
+    Statevector,
+    _parity,
+    _spin_block,
+    _x_patterns,
+    apply_circuit,
+    ground_state,
+)
 
 # Lowest eigenvalue of the 2-electron sector at 0.7414 A, STO-3G, frozen
 # from an independent determinant-CI evaluation (tests/data/ fixture docs).
@@ -54,6 +63,47 @@ def full_vector_expectation(state, string) -> float:
     signs = 1.0 - 2.0 * (np.bitwise_count(idx & string.z_mask) & 1)
     phase = 1j ** ((string.x_mask & string.z_mask).bit_count() % 4)
     return float((phase * np.vdot(amps[idx ^ string.x_mask], signs * amps)).real)
+
+
+def y_phase(x_mask: int, z_mask: int) -> complex:
+    """i^|x&z|: a string is this phase times X^x Z^z, one i per Y = iXZ."""
+    return 1.0j ** ((x_mask & z_mask).bit_count() % 4)
+
+
+def block_operator_oracle(op, n_electrons: int, ordering: str):
+    """Oracle for simulator._block_operator: the same spin block and checks,
+    every element accumulated term by term in complex arithmetic."""
+    block, n_up = _spin_block(op, n_electrons, ordering)
+    position = np.full(1 << op.n_qubits, -1, dtype=np.int64)
+    position[block] = np.arange(len(block))
+    rows, cols, vals = [], [], []
+    leak = 0.0
+    terms = op.terms()
+    for x_mask, by_z in _x_patterns([s for s, _ in terms], op.n_qubits).items():
+        target = block ^ x_mask
+        src = np.flatnonzero(np.bitwise_count(target) == n_electrons)
+        if len(src) == 0:
+            continue
+        sources = block[src]
+        amp = np.zeros(len(src), dtype=complex)  # entry <target| op |source>
+        for z_mask, positions in by_z.items():
+            for i in positions:
+                phased = terms[i][1] * y_phase(x_mask, z_mask)
+                amp += phased * (1.0 - 2.0 * _parity(sources, z_mask))
+        tgt = position[target[src]]
+        inside = tgt >= 0
+        if not np.all(inside):
+            leak = max(leak, float(np.max(np.abs(amp[~inside]))))
+        rows.append(tgt[inside])
+        cols.append(src[inside])
+        vals.append(amp[inside])
+    assert leak <= LEAK_TOL, f"operator leaks {leak:.3e} out of block ({n_up}, {n_electrons - n_up})"
+    dim = len(block)
+    mat = scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim))
+    assert abs(mat - mat.getH()).max() <= 1e-9
+    return block, mat
 
 
 def random_tensors(n, seed, e_nuc=0.0):

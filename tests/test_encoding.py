@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from hcbmeasure.encoding import (
     IMAG_TOL,
     ORDERINGS,
+    ZERO_TOL,
+    _hamiltonian_batches,
     build_qubit_hamiltonian,
     check_ordering,
-    hamiltonian_terms,
     jw_encode,
     ladder_terms,
     spin_orbital_index,
@@ -227,6 +228,41 @@ def _oracle_product_terms(n_qubits, ops):
     return acc
 
 
+def _oracle_hamiltonian_terms(tensors, ordering):
+    """The spin-summed term list as (coefficient, ladder tuple), one loop per
+    index: the entry order the encoder's array table must reproduce."""
+    n = tensors.n_orbitals
+    so = [[spin_orbital_index(k, s, n, ordering) for s in range(2)] for k in range(n)]
+    terms = []
+    if tensors.e_nuc != 0.0:
+        terms.append((tensors.e_nuc, ()))
+    h = tensors.one_body
+    g = tensors.two_body
+    for k in range(n):
+        for l in range(n):
+            if abs(h[k, l]) <= ZERO_TOL:
+                continue
+            for s in range(2):
+                terms.append((h[k, l], ((so[k][s], True), (so[l][s], False))))
+    for k in range(n):
+        for l in range(n):
+            for m in range(n):
+                for nn in range(n):
+                    coeff = 0.5 * g[k, l, m, nn]
+                    if abs(coeff) <= ZERO_TOL:
+                        continue
+                    for s1 in range(2):
+                        for s2 in range(2):
+                            ops = (
+                                (so[k][s1], True),
+                                (so[l][s2], True),
+                                (so[nn][s2], False),
+                                (so[m][s1], False),
+                            )
+                            terms.append((coeff, ops))
+    return terms
+
+
 def _oracle_jw_encode(n_qubits, terms):
     acc = {}
     for coeff, ops in terms:
@@ -246,9 +282,24 @@ def _bits(op):
 
 
 def _assert_build_matches_oracle(tensors, ordering, prune_threshold=1e-12):
-    want = _oracle_jw_encode(2 * tensors.n_orbitals, hamiltonian_terms(tensors, ordering))
+    want = _oracle_jw_encode(2 * tensors.n_orbitals,
+                             _oracle_hamiltonian_terms(tensors, ordering))
     got = build_qubit_hamiltonian(tensors, ordering, prune_threshold)
     assert _bits(got) == _bits(want.prune(prune_threshold))
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+@pytest.mark.parametrize("system", ["h4", "random"])
+def test_hamiltonian_table_lists_the_loop_entries_in_order(h4_tensors, system, ordering):
+    """The array table holds the loop's entries, coefficients and positions."""
+    tensors = h4_tensors if system == "h4" else random_tensors(3, 2, e_nuc=0.25)
+    got = {}
+    for positions, coeffs, index, creation in _hamiltonian_batches(tensors, ordering):
+        for p, c, i, f in zip(positions.tolist(), coeffs.tolist(), index.tolist(),
+                              creation.tolist()):
+            got[p] = (c, tuple(zip(i, f)))
+    want = _oracle_hamiltonian_terms(tensors, ordering)
+    assert [got[p] for p in range(len(got))] == [(complex(c), ops) for c, ops in want]
 
 
 @pytest.mark.parametrize("rotated", [False, True], ids=["unrotated", "rotated"])

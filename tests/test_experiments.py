@@ -82,6 +82,8 @@ def test_infinite_shots_report_the_exact_reference(tmp_path, h4_runs, method):
     for k, row in enumerate(rows):
         assert row == f"{k},{exact:.12e},{0.0:.12e}"
     assert payload["max_abs_error"] == 0.0
+    assert payload["mean_energy"] == exact
+    assert payload["error_of_mean"] == 0.0
 
 
 def test_batch_decompose_defaults_to_the_available_matchings(tmp_path):

@@ -1,14 +1,24 @@
 """Statevector simulation: gates, ansatz, eigensolver, finite-shot sampling."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse
-from conftest import circuit_unitary, full_vector_expectation
+from conftest import block_operator_oracle, circuit_unitary, full_vector_expectation, y_phase
 from scipy.linalg import expm
 
 import hcbmeasure.simulator as simulator
 from hcbmeasure.circuits import Circuit, Gate
-from hcbmeasure.encoding import ORDERINGS, build_qubit_hamiltonian, spin_orbital_index
+from hcbmeasure.encoding import (
+    ORDERINGS,
+    build_qubit_hamiltonian,
+    jw_encode,
+    spin_orbital_index,
+)
 from hcbmeasure.grouping import si_grouping
 from hcbmeasure.groups import CommutingGroup, diagonalized_members, diagonalizing_circuit
 from hcbmeasure.integrals import IntegralTensors
@@ -24,12 +34,13 @@ from hcbmeasure.simulator import (
     MAX_QUBITS,
     PairAnsatz,
     Statevector,
+    _block_operator,
     _lowest_eigenpair,
     _parity,
+    _row_sums,
     _sector_cost,
     _PreparedGroup,
     _x_patterns,
-    _y_phase,
     apply_circuit,
     build_pair_ansatz,
     expectation,
@@ -299,7 +310,7 @@ def _n_sector_matrix(op: PauliSum, n_electrons: int):
         src = np.flatnonzero(np.bitwise_count(target) == n_electrons)
         amp = np.zeros(len(src), dtype=complex)
         for z_mask, (i,) in by_z.items():
-            phased = terms[i][1] * _y_phase(x_mask, z_mask)
+            phased = terms[i][1] * y_phase(x_mask, z_mask)
             amp += phased * (1.0 - 2.0 * _parity(sector[src], z_mask))
         rows.append(np.searchsorted(sector, target[src]))
         cols.append(src)
@@ -379,6 +390,92 @@ def test_ground_state_is_bit_identical_across_calls(request, system):
     again, state_again = ground_state(op, n)
     assert energy == again
     assert np.array_equal(state.amplitudes, state_again.amplitudes)
+
+
+@pytest.mark.parametrize("columns", [1, 2])
+def test_row_sums_add_the_rows_in_order(columns):
+    """Row by row, first row first, also for one column: each 1e-16 is lost
+    against the leading 1.0 one at a time, but not when summed pairwise."""
+    rows = np.full((300, columns), 1e-16)
+    rows[0] = 1.0
+    assert np.array_equal(_row_sums(rows), np.ones(columns))
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+@pytest.mark.parametrize("system", ["h2", "h4", "h6"])
+def test_block_operator_is_the_oracle_in_real_arithmetic(request, system, ordering):
+    """No string of a Hamiltonian has an odd Y count, so the oracle's
+    imaginary parts are all 0 and the block is float64.  The builder sums
+    each X-pattern's rows in the oracle's term order, so its entries are the
+    oracle's real parts bit for bit, for even N and for odd N."""
+    tensors = request.getfixturevalue(f"{system}_tensors")
+    op = build_qubit_hamiltonian(tensors, ordering)
+    n = tensors.n_orbitals
+    for n_electrons in (n - 1, n):
+        block, mat = _block_operator(op, n_electrons, ordering)
+        want_block, want = block_operator_oracle(op, n_electrons, ordering)
+        assert np.array_equal(block, want_block)
+        assert mat.dtype == np.float64
+        assert want.dtype == np.complex128 and not np.any(want.data.imag)
+        assert np.array_equal(mat.indptr, want.indptr)
+        assert np.array_equal(mat.indices, want.indices)
+        assert np.array_equal(mat.data, want.data.real)
+
+
+def test_an_odd_y_operator_builds_complex_and_keeps_its_eigenpair(h4_operator):
+    """i t (a+_0s a_2s - a+_2s a_0s) on both spins is Hermitian, spin-free and
+    JW-encodes to strings with one Y each, so the H4 block goes complex; its
+    entries are the oracle's and its eigenpair the dense N-sector one's."""
+    so = [[spin_orbital_index(k, s, 4, "interleaved") for s in (0, 1)] for k in range(4)]
+    hop = jw_encode(8, [(c, ((so[p][s], True), (so[q][s], False)))
+                        for s in (0, 1) for p, q, c in ((0, 2, 0.3j), (2, 0, -0.3j))])
+    assert any((s.x_mask & s.z_mask).bit_count() % 2 for s, _ in hop.terms())
+    op = h4_operator + hop
+    block, mat = _block_operator(op, 4, "interleaved")
+    _, want = block_operator_oracle(op, 4, "interleaved")
+    assert mat.dtype == np.complex128 and np.any(mat.data.imag)
+    assert np.array_equal(mat.indptr, want.indptr)
+    assert np.array_equal(mat.indices, want.indices)
+    assert np.array_equal(mat.data, want.data)
+    energy, state = ground_state(op, 4)
+    want_energy, want_vec = _n_sector_ground_state(op, 4)
+    assert abs(energy - want_energy) < 1e-10
+    assert abs(np.vdot(want_vec, state.amplitudes)) >= 1 - 1e-12
+
+
+_REAL_LANCZOS_CHILD = """
+import hashlib
+import hcbmeasure.simulator as simulator
+from hcbmeasure import build_geometry, build_qubit_hamiltonian, minimal_basis_integrals
+
+op = build_qubit_hamiltonian(minimal_basis_integrals(build_geometry(6, 1.5, "line")))
+dense_energy, _ = simulator.ground_state(op, 6)
+simulator.DENSE_EIG_LIMIT = 100  # the 400-state block goes to eigsh
+dtype = simulator._block_operator(op, 6, "interleaved")[1].dtype
+energy, state = simulator.ground_state(op, 6)
+print(dtype, energy.hex(), hashlib.sha256(state.amplitudes.tobytes()).hexdigest(),
+      abs(energy - dense_energy))
+"""
+
+
+def test_real_lanczos_is_bit_identical_across_processes():
+    """Two fresh processes put the H6 line's float64 block on the eigsh branch
+    and return the same energy and vector bits, within 1e-10 of dense eigh."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    children = [subprocess.Popen([sys.executable, "-c", _REAL_LANCZOS_CHILD], env=env,
+                                 stdout=subprocess.PIPE, text=True) for _ in range(2)]
+    try:
+        outputs = [child.communicate(timeout=120)[0].split() for child in children]
+    finally:
+        for child in children:
+            child.kill()
+    assert [child.returncode for child in children] == [0, 0]
+    (dtype, energy, digest, gap), again = outputs
+    assert dtype == "float64"
+    assert again[:3] == [dtype, energy, digest]
+    assert float(gap) < 1e-10
 
 
 def test_expectation_basics():
