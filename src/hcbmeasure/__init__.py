@@ -69,7 +69,7 @@ from .simulator import (
     pauli_expectations,
     rotation_circuit,
     sample_group,
-    spin_summed_rdms,
+    spin_rdms,
 )
 
 __all__ = [
@@ -99,7 +99,7 @@ __all__ = [
     "Gate", "Circuit", "Statevector", "apply_circuit",
     "rotation_circuit", "PairAnsatz", "build_pair_ansatz", "optimize_ansatz",
     "expectation", "pauli_expectations", "ground_state", "sample_group",
-    "SampledEnergies", "finite_sample_experiment", "spin_summed_rdms",
+    "SampledEnergies", "finite_sample_experiment", "spin_rdms",
     # experiment harness
     "ExperimentConfig", "config_from_dict", "load_config",
 ]

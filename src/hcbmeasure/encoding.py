@@ -171,7 +171,7 @@ def _encode_batches(n_qubits: int, batches: Iterable[_Batch]) -> PauliSum:
     first = np.ones(len(x), dtype=bool)
     first[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
     slot = np.cumsum(first) - 1
-    x, z = x[first].tolist(), z[first].tolist()
+    x, z = x[first], z[first]
     total_re = np.zeros(len(x))
     total_im = np.zeros(len(x))
     np.add.at(total_re, slot, re)
@@ -180,13 +180,11 @@ def _encode_batches(n_qubits: int, batches: Iterable[_Batch]) -> PauliSum:
     if len(bad):
         i = bad[0]
         raise ValueError(
-            f"operator is not Hermitian: term {PauliString(n_qubits, x[i], z[i])} "
+            f"operator is not Hermitian: term {PauliString(n_qubits, int(x[i]), int(z[i]))} "
             f"has imaginary part {total_im[i]:.3e}"
         )
-    return PauliSum(n_qubits, {
-        PauliString(n_qubits, x[i], z[i]): total_re[i]
-        for i in np.flatnonzero(total_re != 0.0).tolist()
-    })
+    # sorted by (x, z) and distinct; from_arrays drops the zero sums
+    return PauliSum.from_arrays(n_qubits, x, z, total_re)
 
 
 def _hamiltonian_batches(tensors: IntegralTensors, ordering: str) -> list[_Batch]:

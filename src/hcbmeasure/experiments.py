@@ -695,7 +695,7 @@ def cmd_sample(config: ExperimentConfig) -> dict:
     if config.infinite_shots:
         exact = 0.0
         for group, st, _ in plan:  # in finite_sample_experiment's order and rounding
-            exact += expectation(st, group.to_sum())
+            exact += expectation(st, group.op)
         energies = np.full(config.repetitions, exact)
         errors = np.zeros(config.repetitions)
         total_shots = 0

@@ -22,7 +22,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate
 from .groups import CommutingGroup
-from .paulis import PauliString, PauliSum, anticommutation_matrix
+from .paulis import PauliSum, anticommutation_matrix
 from .simulator import pauli_expectations
 
 GROUPING_METHODS = ("LF", "RLF", "SI")
@@ -50,33 +50,28 @@ class GroupingResult:
             group.check_commuting()
 
 
-_MASK64 = (1 << 64) - 1
-
-
-def _mask_mix(string: PauliString) -> int:
-    """Fixed avalanche hash of a string's masks, used to break ordering ties.
+def _mask_mix(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Fixed avalanche hash of each string's uint64 masks, used to break
+    ordering ties; uint64 products wrap modulo 2^64.
 
     Structured tie-breaks (mask order, insertion order) cluster related
     strings and push the greedy colorings into an atypically favorable
     corner; a fixed pseudo-random key keeps them in the typical regime
     while staying fully deterministic across runs and platforms.
     """
-    v = (string.x_mask * 0x9E3779B97F4A7C15 + string.z_mask * 0xBF58476D1CE4E5B9) & _MASK64
-    v ^= v >> 30
-    v = (v * 0xBF58476D1CE4E5B9) & _MASK64
-    v ^= v >> 27
-    v = (v * 0x94D049BB133111EB) & _MASK64
-    return v ^ (v >> 31)
+    v = x * np.uint64(0x9E3779B97F4A7C15) + z * np.uint64(0xBF58476D1CE4E5B9)
+    v ^= v >> np.uint64(30)
+    v *= np.uint64(0xBF58476D1CE4E5B9)
+    v ^= v >> np.uint64(27)
+    v *= np.uint64(0x94D049BB133111EB)
+    return v ^ (v >> np.uint64(31))
 
 
-def _conflict_graph(op: PauliSum):
-    """Sorted terms, their anticommutation matrix and their _mask_mix keys."""
-    terms = op.terms()
-    if not terms:
+def _conflict_graph(op: PauliSum) -> tuple[np.ndarray, np.ndarray]:
+    """The anticommutation matrix of op's terms and their _mask_mix keys."""
+    if not len(op):
         raise ValueError("cannot group an empty operator")
-    conflict = anticommutation_matrix([s for s, _ in terms])
-    keys = np.array([_mask_mix(s) for s, _ in terms], dtype=np.uint64)
-    return terms, conflict, keys
+    return anticommutation_matrix(op), _mask_mix(op.x, op.z)
 
 
 def _best(allowed: np.ndarray, score: np.ndarray, keys: np.ndarray) -> int:
@@ -86,11 +81,11 @@ def _best(allowed: np.ndarray, score: np.ndarray, keys: np.ndarray) -> int:
     return int(top[np.argmin(keys[top])])
 
 
-def _first_fit(conflict: np.ndarray, order) -> list[int]:
+def _first_fit(conflict: np.ndarray, order) -> np.ndarray:
     """Greedy coloring: each vertex in order takes the smallest color none of
     its already-colored neighbours has, opening a new color when all do."""
     blocked: list[np.ndarray] = []  # per color: adjacent to one of its vertices
-    colors = [-1] * len(conflict)
+    colors = np.full(len(conflict), -1)
     for vertex in order:
         color = next((k for k, row in enumerate(blocked) if not row[vertex]), len(blocked))
         if color == len(blocked):
@@ -101,21 +96,12 @@ def _first_fit(conflict: np.ndarray, order) -> list[int]:
     return colors
 
 
-def _build_result(
-    n_qubits: int,
-    terms: list[tuple[PauliString, float]],
-    colors: list[int],
-    method: str,
-) -> GroupingResult:
-    n_colors = max(colors) + 1 if colors else 0
-    buckets: list[list[tuple[PauliString, float]]] = [[] for _ in range(n_colors)]
-    for idx, color in enumerate(colors):
-        buckets[color].append(terms[idx])
+def _build_result(op: PauliSum, colors: np.ndarray, method: str) -> GroupingResult:
     groups = tuple(
-        CommutingGroup(n_qubits, tuple(bucket), label=f"{method}-{k}")
-        for k, bucket in enumerate(buckets)
+        CommutingGroup(op.take(np.flatnonzero(colors == k)), label=f"{method}-{k}")
+        for k in range(int(colors.max()) + 1)
     )
-    result = GroupingResult(n_qubits, method, groups)
+    result = GroupingResult(op.n_qubits, method, groups)
     result.check()
     return result
 
@@ -127,9 +113,9 @@ def lf_grouping(op: PauliSum) -> GroupingResult:
     fixed mask hash; each takes the smallest color absent from its
     already-colored neighbours.
     """
-    terms, conflict, keys = _conflict_graph(op)
+    conflict, keys = _conflict_graph(op)
     order = np.lexsort((keys, -conflict.sum(axis=1)))
-    return _build_result(op.n_qubits, terms, _first_fit(conflict, order), "LF")
+    return _build_result(op, _first_fit(conflict, order), "LF")
 
 
 def rlf_grouping(op: PauliSum) -> GroupingResult:
@@ -140,8 +126,8 @@ def rlf_grouping(op: PauliSum) -> GroupingResult:
     neighbours among the vertices excluded from the class, until no
     admissible vertex remains.  Ties fall back to the fixed mask hash.
     """
-    terms, conflict, keys = _conflict_graph(op)
-    n = len(terms)
+    conflict, keys = _conflict_graph(op)
+    n = len(op)
     colors = np.full(n, -1)
     uncolored = np.ones(n, dtype=bool)
     degree = conflict.sum(axis=1)  # neighbours among the uncolored
@@ -166,15 +152,15 @@ def rlf_grouping(op: PauliSum) -> GroupingResult:
         uncolored[in_class] = False
         degree -= conflict[in_class].sum(axis=0)
         color += 1
-    return _build_result(op.n_qubits, terms, colors.tolist(), "RLF")
+    return _build_result(op, colors, "RLF")
 
 
 def si_grouping(op: PauliSum) -> GroupingResult:
     """Sorted insertion: weight-ordered terms join the first fully
     commuting group, opening a new group when none accepts them."""
-    terms, conflict, _ = _conflict_graph(op)
-    order = sorted(range(len(terms)), key=lambda i: (-abs(terms[i][1]), i))
-    return _build_result(op.n_qubits, terms, _first_fit(conflict, order), "SI")
+    conflict, _ = _conflict_graph(op)
+    order = np.argsort(-np.abs(op.coeffs), kind="stable")
+    return _build_result(op, _first_fit(conflict, order), "SI")
 
 
 # ---------------------------------------------------------------------------
@@ -202,37 +188,28 @@ class ShotEstimate:
         return out.getvalue()
 
 
-def member_shot_count(
-    string: PauliString, coeff: float, expectation_value: float, epsilon: float
-) -> float:
-    """Shots resolving one weighted string to precision epsilon.
-
-    The single-term sampling variance is w^2 (1 - <P>^2); identity terms
-    carry no variance and cost nothing.
-    """
-    if string.x_mask == 0 and string.z_mask == 0:
-        return 0.0
-    variance = max(0.0, 1.0 - expectation_value**2)
-    return (coeff**2) * variance / (epsilon**2)
-
-
 def _group_shot_counts(
     groups: list[CommutingGroup], state, epsilon: float
 ) -> list[float]:
     """Shot requirement of each group: its most demanding member.
 
-    Every member's <P> comes from one pauli_expectations call, so a string
-    pattern shared across groups is evaluated once.
+    A weighted string c P takes c^2 (1 - <P>^2) / epsilon^2 shots, its
+    single-term sampling variance over epsilon^2; identity terms carry no
+    variance and cost nothing, and so does an empty group.  Every member's
+    <P> comes from one pauli_expectations call, so a string pattern shared
+    across groups is evaluated once.
     """
-    strings = [string for group in groups for string, _ in group.members]
-    values = iter(pauli_expectations(state, strings).tolist())
-    counts = []
-    for group in groups:
-        worst = 0.0
-        for string, coeff in group.members:
-            worst = max(worst, member_shot_count(string, coeff, next(values), epsilon))
-        counts.append(worst)
-    return counts
+    if any(group.n_qubits != state.n_qubits for group in groups):
+        raise ValueError("group and state qubit counts differ")
+    x = np.concatenate([group.op.x for group in groups])
+    z = np.concatenate([group.op.z for group in groups])
+    coeffs = np.concatenate([group.op.coeffs for group in groups])
+    values = pauli_expectations(state, x, z)
+    shots = coeffs**2 * np.maximum(0.0, 1.0 - values**2) / epsilon**2
+    shots[(x == 0) & (z == 0)] = 0.0
+    ends = np.cumsum([len(group.op) for group in groups])
+    return [float(shots[end - len(group.op):end].max(initial=0.0))
+            for group, end in zip(groups, ends.tolist())]
 
 
 def _check_epsilon(epsilon: float) -> None:

@@ -22,7 +22,7 @@ GROUP_KINDS = ("general", "diagonal_z", "yx_xy", "yy_xx")
 
 @dataclass(frozen=True)
 class CommutingGroup:
-    """Pauli strings (with coefficients) that pairwise fully commute.
+    """A sum of Pauli strings that pairwise fully commute, with a label.
 
     `kind` tags the structural family: "diagonal_z" for all-Z strings,
     "yx_xy" for strings carrying one Y per touched spatial orbital,
@@ -30,8 +30,7 @@ class CommutingGroup:
     "general" for anything else (e.g. groups found by graph coloring).
     """
 
-    n_qubits: int
-    members: tuple[tuple[PauliString, float], ...]
+    op: PauliSum
     label: str = ""
     kind: str = "general"
 
@@ -39,42 +38,26 @@ class CommutingGroup:
         if self.kind not in GROUP_KINDS:
             raise ValueError(f"kind must be one of {GROUP_KINDS}, got {self.kind!r}")
 
-    def strings(self) -> list[PauliString]:
-        return [s for s, _ in self.members]
+    @property
+    def n_qubits(self) -> int:
+        return self.op.n_qubits
+
+    @property
+    def members(self) -> tuple[tuple[PauliString, float], ...]:
+        """op's (string, coefficient) terms, in (x_mask, z_mask) order."""
+        return tuple(self.op.terms())
 
     def check_commuting(self) -> None:
         """Certify that every pair of members fully commutes."""
-        strs = self.strings()
         # symmetric, so the first True in row-major order is the first
         # pair (i < j) that a pairwise loop would meet
-        offending = np.argwhere(anticommutation_matrix(strs))
+        offending = np.argwhere(anticommutation_matrix(self.op))
         if len(offending):
             i, j = offending[0]
+            members = self.members
             raise ValueError(
-                f"group {self.label!r}: {strs[i]} and {strs[j]} do not commute"
+                f"group {self.label!r}: {members[i][0]} and {members[j][0]} do not commute"
             )
-
-    def to_sum(self) -> PauliSum:
-        out = PauliSum(self.n_qubits)
-        for s, c in self.members:
-            out.add_term(s, c)
-        return out
-
-
-def _mask_rows(
-    strings: Sequence[PauliString], n_qubits: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x masks, z masks and zeroed sign bits of the strings, one row each.
-
-    The masks are held in the smallest unsigned dtype that fits n_qubits
-    bits (Python ints in an object array beyond 64 qubits).
-    """
-    if any(s.n_qubits != n_qubits for s in strings):
-        raise ValueError("string and circuit qubit counts differ")
-    dtype = np.min_scalar_type((1 << n_qubits) - 1)
-    x = np.array([s.x_mask for s in strings], dtype=dtype)
-    z = np.array([s.z_mask for s in strings], dtype=dtype)
-    return x, z, np.zeros_like(x)
 
 
 def _conjugate_rows(
@@ -123,11 +106,20 @@ def _conjugate_rows(
             flip ^= xq
 
 
-def conjugate_pauli(string: PauliString, circuit: Circuit) -> tuple[PauliString, int]:
-    """Image (C P C^dagger, sign) of a Pauli string under the circuit's gates."""
-    x, z, flip = _mask_rows([string], circuit.n_qubits)
+def conjugate_pauli(
+    op: PauliSum, circuit: Circuit
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Images C P C^dagger of op's strings under the circuit's gates.
+
+    Returns (x masks, z masks, signs), aligned with op's terms: string i
+    goes to signs[i] P(x[i], z[i]), signs[i] in {1.0, -1.0}.
+    """
+    if op.n_qubits != circuit.n_qubits:
+        raise ValueError("operator and circuit qubit counts differ")
+    x, z = op.x.copy(), op.z.copy()
+    flip = np.zeros_like(x)
     _conjugate_rows(x, z, flip, circuit.gates)
-    return PauliString(circuit.n_qubits, int(x[0]), int(z[0])), -1 if flip[0] else 1
+    return x, z, 1.0 - 2.0 * flip
 
 
 def diagonalizing_circuit(group: CommutingGroup) -> Circuit:
@@ -140,7 +132,8 @@ def diagonalizing_circuit(group: CommutingGroup) -> Circuit:
     group.check_commuting()
     n = group.n_qubits
     circuit = Circuit(n)
-    x, z, flip = _mask_rows(group.strings(), n)
+    x, z = group.op.x.copy(), group.op.z.copy()
+    flip = np.zeros_like(x)
 
     def apply_gate(name: str, *qubits: int) -> None:
         circuit.add(name, *qubits)
@@ -173,15 +166,14 @@ def diagonalizing_circuit(group: CommutingGroup) -> Circuit:
 
 def diagonalized_members(
     group: CommutingGroup, circuit: Circuit
-) -> list[tuple[PauliString, float]]:
-    """Conjugate members through the circuit, folding signs into coefficients.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(z masks, signs) of the members' images, aligned with group.members:
+    the circuit sends member i to signs[i] Z^z[i].
 
     Certifies the result: every image must be diagonal.
     """
-    x, z, flip = _mask_rows(group.strings(), circuit.n_qubits)
-    _conjugate_rows(x, z, flip, circuit.gates)
+    x, z, signs = conjugate_pauli(group.op, circuit)
     left = np.flatnonzero(x)
     if len(left):
         raise ValueError(f"circuit failed to diagonalize {group.members[left[0]][0]}")
-    return [(PauliString(circuit.n_qubits, 0, image), -coeff if negate else coeff)
-            for (_, coeff), image, negate in zip(group.members, z.tolist(), flip.tolist())]
+    return z, signs

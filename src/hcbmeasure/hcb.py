@@ -91,35 +91,29 @@ def hcb_to_groups(
     check_ordering(ordering)
     op = build_qubit_hamiltonian(layer, ordering, 0.0)
     n = layer.n_orbitals
-    pair_masks = [
+    pair_masks = np.array([
         sum(1 << spin_orbital_index(k, spin, n, ordering) for spin in (0, 1))
         for k in range(n)
-    ]
-    diagonal = []
-    one_y = []
-    paired_y = []
-    for string, coeff in op.terms():
-        x, z = string.x_mask, string.z_mask
-        if x == 0:
-            diagonal.append((string, coeff))
-            continue
-        if abs(coeff) <= CANCELLATION_TOL:
-            continue
-        y_counts = {(x & z & pair).bit_count() for pair in pair_masks if x & pair}
-        if y_counts == {1}:
-            one_y.append((string, coeff))
-        elif y_counts <= {0, 2}:
-            paired_y.append((string, coeff))
-        else:
-            raise ValueError(
-                f"string {string} (coefficient {coeff:.3e}) does not fit "
-                "any paired-layer group; the extraction produced a "
-                "non-paired operator"
-            )
+    ], dtype=np.uint64)
+    x, z = op.x[:, None], op.z[:, None]
+    untouched = (x & pair_masks) == 0
+    y_counts = np.bitwise_count(x & z & pair_masks)  # per string and orbital
+    diagonal = op.x == 0
+    kept = ~diagonal & (np.abs(op.coeffs) > CANCELLATION_TOL)
+    one_y = kept & np.all(untouched | (y_counts == 1), axis=1)
+    paired_y = kept & np.all(untouched | (y_counts % 2 == 0), axis=1)
+    misfit = np.flatnonzero(kept & ~one_y & ~paired_y)
+    if len(misfit):
+        string, coeff = op.take(misfit[:1]).terms()[0]
+        raise ValueError(
+            f"string {string} (coefficient {coeff:.3e}) does not fit "
+            "any paired-layer group; the extraction produced a "
+            "non-paired operator"
+        )
     groups = (
-        CommutingGroup(op.n_qubits, tuple(diagonal), "diagonal", "diagonal_z"),
-        CommutingGroup(op.n_qubits, tuple(one_y), "split-Y", "yx_xy"),
-        CommutingGroup(op.n_qubits, tuple(paired_y), "paired-Y", "yy_xx"),
+        CommutingGroup(op.take(diagonal), "diagonal", "diagonal_z"),
+        CommutingGroup(op.take(one_y), "split-Y", "yx_xy"),
+        CommutingGroup(op.take(paired_y), "paired-Y", "yy_xx"),
     )
     for group in groups:
         group.check_commuting()

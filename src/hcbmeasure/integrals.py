@@ -79,7 +79,8 @@ def rdm_expectation(
     """<H> of the tensors on a state given by its spin-summed RDMs.
 
     e_nuc + sum h[k,l] D[k,l] + 1/2 sum g[k,l,m,n] G[k,l,m,n], with D and G
-    as built by simulator.spin_summed_rdms under the state's qubit ordering.
+    the first two arrays simulator.spin_rdms returns under the state's
+    qubit ordering.
     """
     n = tensors.n_orbitals
     if one_rdm.shape != (n, n) or two_rdm.shape != (n,) * 4:

@@ -11,7 +11,6 @@ so no Trotter or matrix exponentials are involved.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +21,11 @@ import scipy.sparse.linalg
 from .circuits import Circuit
 from .encoding import check_ordering, spin_orbital_index
 from .groups import CommutingGroup, diagonalized_members, diagonalizing_circuit
-from .paulis import PauliString, PauliSum
+from .paulis import PauliSum
 from .rotations import OrbitalRotation, PairingGraph, givens_factorize
 
 MAX_QUBITS = 16
-DENSE_EIG_LIMIT = 4096
+DENSE_EIG_LIMIT = 1024
 NORM_TOL = 1e-10
 LEAK_TOL = 1e-9  # largest element a ground-state block may send out of itself
 RDM_TOL = 1e-10  # largest Hermiticity or trace gap a built RDM may show
@@ -88,28 +87,22 @@ def _annihilated(amps: np.ndarray, removed: np.ndarray, sign_masks: np.ndarray) 
     return np.where(free, signs * amps[targets[None, :] | removed[:, None]], 0.0)
 
 
-def spin_summed_rdms(
-    state: Statevector, ordering: str = "interleaved"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Spin-summed 1- and 2-RDM of the state under the given qubit ordering.
-
-    D[k,l] = sum_s <a+_ks a_ls> and
-    G[k,l,m,n] = sum_{s1,s2} <a+_{k s1} a+_{l s2} a_{n s2} a_{m s1}>,
-    so <H> = e_nuc + sum h*D + 1/2 sum g*G in the IntegralTensors
-    convention (see integrals.rdm_expectation).  The spin-orbital 2-RDM
-    comes from one Gram matrix of the vectors a_b a_a psi over pairs a < b,
-    expanded by antisymmetry.  No particle number is assumed: the vectors
-    span every popcount of psi's support, so any state is exact.  The traces
-    are checked against <N> and <N(N-1)> before returning.
-    """
-    return spin_rdms(state, ordering)[:2]
-
-
 def spin_rdms(
     state: Statevector, ordering: str = "interleaved"
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(D, G, O): spin_summed_rdms' pair plus the opposite-spin part of G,
-    O[k,l,m,n] = sum_{s != t} <a+_{ks} a+_{lt} a_{nt} a_{ms}>."""
+    """Spin-summed 1- and 2-RDM of the state under the given qubit ordering,
+    and the opposite-spin part of the 2-RDM.
+
+    D[k,l] = sum_s <a+_ks a_ls>,
+    G[k,l,m,n] = sum_{s1,s2} <a+_{k s1} a+_{l s2} a_{n s2} a_{m s1}> and
+    O[k,l,m,n] = sum_{s != t} <a+_{ks} a+_{lt} a_{nt} a_{ms}>, so
+    <H> = e_nuc + sum h*D + 1/2 sum g*G in the IntegralTensors convention
+    (see integrals.rdm_expectation).  The spin-orbital 2-RDM comes from one
+    Gram matrix of the vectors a_b a_a psi over pairs a < b, expanded by
+    antisymmetry.  No particle number is assumed: the vectors span every
+    popcount of psi's support, so any state is exact.  The traces are
+    checked against <N> and <N(N-1)> before returning.
+    """
     check_ordering(ordering)
     n_qubits = state.n_qubits
     if n_qubits % 2:
@@ -488,37 +481,38 @@ def _real_value(total: complex) -> float:
     return float(total.real)
 
 
-def _x_patterns(strings: Sequence[PauliString], n_qubits: int) -> dict[int, dict[int, list[int]]]:
-    """x_mask -> z_mask -> positions of the strings with those masks, every
-    level in order of first appearance.
+def _x_patterns(x: np.ndarray, z: np.ndarray) -> dict[int, dict[int, list[int]]]:
+    """x_mask -> z_mask -> positions of the (x, z) mask pairs, every level
+    in order of first appearance.
 
     Every string of an x_mask bucket maps basis state b to b ^ x_mask, so
     pauli_expectations takes one overlap per bucket and the block builder
     finds each source state's target once per bucket.
     """
     buckets: dict[int, dict[int, list[int]]] = {}
-    for i, string in enumerate(strings):
-        if string.n_qubits != n_qubits:
-            raise ValueError("string and state qubit counts differ")
-        buckets.setdefault(string.x_mask, {}).setdefault(string.z_mask, []).append(i)
+    for i, (x_mask, z_mask) in enumerate(zip(x.tolist(), z.tolist())):
+        buckets.setdefault(x_mask, {}).setdefault(z_mask, []).append(i)
     return buckets
 
 
-def pauli_expectations(state: Statevector, strings: Sequence[PauliString]) -> np.ndarray:
-    """<P> of every string, in one pass per distinct X-pattern.
+def pauli_expectations(state: Statevector, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """<P> of every string P(x[i], z[i]), in one pass per distinct X-pattern.
 
     The strings sharing an x_mask share the overlap conj(psi[b ^ x]) psi[b],
     taken only over the basis states b where both amplitudes are nonzero;
     their values are one product of a sign matrix (-1)^|b & z|, one row per
     distinct z_mask and at most SIGN_BLOCK entries at a time, with that
     overlap, times each string's i^|x&z|.  Repeated strings are evaluated
-    once.
+    once.  Raises ValueError on masks beyond the state's qubits.
     """
+    x, z = np.asarray(x, dtype=np.uint64), np.asarray(z, dtype=np.uint64)
+    if np.any((x | z) >> state.n_qubits):
+        raise ValueError(f"masks out of range for the state's {state.n_qubits} qubits")
     amps = state.amplitudes
     support = np.flatnonzero(amps)
     psi = amps[support]
-    values = np.empty(len(strings))
-    for x_mask, by_z in _x_patterns(strings, state.n_qubits).items():
+    values = np.empty(len(x))
+    for x_mask, by_z in _x_patterns(x, z).items():
         overlap = np.conj(amps[support ^ x_mask]) * psi
         reached = np.flatnonzero(overlap)
         basis, overlap = support[reached], overlap[reached]
@@ -526,11 +520,11 @@ def pauli_expectations(state: Statevector, strings: Sequence[PauliString]) -> np
         step = max(1, SIGN_BLOCK // max(1, len(basis)))
         for lo in range(0, len(z_masks), step):
             block = z_masks[lo:lo + step]
-            z = np.array(block, dtype=np.int64)
-            signs = 1.0 - 2.0 * _parity(basis[None, :], z[:, None])
+            z_block = np.array(block, dtype=np.int64)
+            signs = 1.0 - 2.0 * _parity(basis[None, :], z_block[:, None])
             re, im = signs @ overlap.real, signs @ overlap.imag
             # the real part of i^p (re + i im), p = |x & z| mod 4
-            power = np.bitwise_count(z & x_mask) % 4
+            power = np.bitwise_count(z_block & x_mask) % 4
             for z_mask, value in zip(block, np.choose(power, (re, -im, -re, im)).tolist()):
                 values[by_z[z_mask]] = value
     return values
@@ -541,9 +535,7 @@ def expectation(state: Statevector, op: PauliSum) -> float:
     pauli_expectations pass over the state's support."""
     if op.n_qubits != state.n_qubits:
         raise ValueError("operator and state qubit counts differ")
-    terms = op.terms()
-    coeffs = np.array([coeff for _, coeff in terms])
-    return float(coeffs @ pauli_expectations(state, [string for string, _ in terms]))
+    return float(op.coeffs @ pauli_expectations(state, op.x, op.z))
 
 
 # ---------------------------------------------------------------------------
@@ -601,17 +593,14 @@ def _block_operator(
     block, n_up = _spin_block(op, n_electrons, ordering)
     position = np.full(1 << op.n_qubits, -1, dtype=np.int64)
     position[block] = np.arange(len(block))
-    terms = op.terms()
-    strings = [s for s, _ in terms]
-    x_masks = np.array([s.x_mask for s in strings], dtype=np.int64)
-    z_masks = np.array([s.z_mask for s in strings], dtype=np.int64)
-    y_counts = np.bitwise_count(x_masks & z_masks)
-    phased = np.array([c for _, c in terms], dtype=float) * _I_POWERS[y_counts % 4]
+    z_masks = op.z.astype(np.int64)
+    y_counts = np.bitwise_count(op.x & op.z)
+    phased = op.coeffs * _I_POWERS[y_counts % 4]
     if not np.any(y_counts & 1):
         phased = np.ascontiguousarray(phased.real)
     rows, cols, vals = [], [], []
     leak = 0.0
-    for x_mask, by_z in _x_patterns(strings, op.n_qubits).items():
+    for x_mask, by_z in _x_patterns(op.x, op.z).items():
         target = block ^ x_mask
         src = np.flatnonzero(np.bitwise_count(target) == n_electrons)
         if len(src) == 0:
@@ -715,8 +704,9 @@ class GroupSample:
 class _PreparedGroup:
     """A group made ready to sample on one state.
 
-    z_masks and folded: each member's diagonal image and folded coefficient
-    (sign * original coefficient); signs carries that sign back to the
+    z_masks, signs and folded: each member's diagonal image sign * Z^z_mask
+    under the diagonalizing circuit (see diagonalized_members) and its
+    folded coefficient sign * c; signs carries the sign back to the
     original string's estimate.  cdf: cumulative outcome distribution of
     the state after the diagonalizing circuit, built as Generator.choice
     builds it, so a draw consumes the same random stream as
@@ -732,15 +722,11 @@ class _PreparedGroup:
     @classmethod
     def build(cls, state: Statevector, group: CommutingGroup) -> "_PreparedGroup":
         diag = diagonalizing_circuit(group)
-        members = diagonalized_members(group, diag)
-        z_masks = np.array([image.z_mask for image, _ in members], dtype=np.int64)
-        folded = np.array([coeff for _, coeff in members], dtype=float)
-        # folding negates, which flips the sign bit of a zero coefficient too
-        signs = np.copysign(1.0, folded) * np.copysign(1.0, [c for _, c in group.members])
+        z_masks, signs = diagonalized_members(group, diag)
         probs = apply_circuit(state, diag).probabilities()
         cdf = (probs / probs.sum()).cumsum()
         cdf /= cdf[-1]
-        return cls(group.label, z_masks, folded, signs, cdf)
+        return cls(group.label, z_masks.astype(np.int64), signs * group.op.coeffs, signs, cdf)
 
     def outcomes(self, shots: int, rng: np.random.Generator) -> np.ndarray:
         return self.cdf.searchsorted(rng.random(shots), side="right")
@@ -816,7 +802,7 @@ def finite_sample_experiment(
     prepared = []
     exact = 0.0
     for group, state, shots in plan:
-        exact += expectation(state, group.to_sum())
+        exact += expectation(state, group.op)
         prepared.append((_PreparedGroup.build(state, group), max(1, int(np.ceil(shots)))))
     energies = np.empty(repetitions)
     for rep in range(repetitions):

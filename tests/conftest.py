@@ -9,6 +9,7 @@ import scipy.sparse
 from hcbmeasure.encoding import build_qubit_hamiltonian
 from hcbmeasure.geometry import build_geometry
 from hcbmeasure.integrals import IntegralTensors, minimal_basis_integrals
+from hcbmeasure.paulis import PauliSum
 from hcbmeasure.rotations import PairingGraph, graph_rotation
 from hcbmeasure.simulator import (
     LEAK_TOL,
@@ -37,6 +38,14 @@ def sum_gap(a, b) -> float:
     ca, cb = dict(a.terms()), dict(b.terms())
     return max((abs(ca.get(s, 0.0) - cb.get(s, 0.0)) for s in ca.keys() | cb.keys()),
                default=0.0)
+
+
+def group_union(groups) -> PauliSum:
+    """The sum of the groups' members; fails if a string sits in two groups."""
+    terms = [term for group in groups for term in group.members]
+    union = dict(terms)
+    assert len(union) == len(terms), "a string sits in two groups"
+    return PauliSum(groups[0].n_qubits, union)
 
 
 def membership_digest(groups) -> str:
@@ -78,8 +87,8 @@ def block_operator_oracle(op, n_electrons: int, ordering: str):
     position[block] = np.arange(len(block))
     rows, cols, vals = [], [], []
     leak = 0.0
-    terms = op.terms()
-    for x_mask, by_z in _x_patterns([s for s, _ in terms], op.n_qubits).items():
+    coeffs = op.coeffs.tolist()
+    for x_mask, by_z in _x_patterns(op.x, op.z).items():
         target = block ^ x_mask
         src = np.flatnonzero(np.bitwise_count(target) == n_electrons)
         if len(src) == 0:
@@ -88,7 +97,7 @@ def block_operator_oracle(op, n_electrons: int, ordering: str):
         amp = np.zeros(len(src), dtype=complex)  # entry <target| op |source>
         for z_mask, positions in by_z.items():
             for i in positions:
-                phased = terms[i][1] * y_phase(x_mask, z_mask)
+                phased = coeffs[i] * y_phase(x_mask, z_mask)
                 amp += phased * (1.0 - 2.0 * _parity(sources, z_mask))
         tgt = position[target[src]]
         inside = tgt >= 0

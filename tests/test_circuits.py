@@ -137,7 +137,7 @@ def test_conjugation_rejects_fermionic_gates():
     circuit.add("H", 0)
     circuit.add("GIVENS", 0, 1, angle=0.3)
     with pytest.raises(ValueError, match="through a GIVENS gate"):
-        conjugate_pauli(PauliString.from_label(2, "X0"), circuit)
-    group = CommutingGroup(2, ((PauliString.from_label(2, "Z0 Z1"), 1.0),))
+        conjugate_pauli(PauliSum(2, {PauliString.from_label(2, "X0"): 1.0}), circuit)
+    group = CommutingGroup(PauliSum(2, {PauliString.from_label(2, "Z0 Z1"): 1.0}))
     with pytest.raises(ValueError, match="through a GIVENS gate"):
         diagonalized_members(group, circuit)

@@ -2,19 +2,20 @@
 
 import numpy as np
 import pytest
-from conftest import full_vector_expectation, membership_digest, sum_gap
+from conftest import full_vector_expectation, group_union, membership_digest, sum_gap
 
 from hcbmeasure.grouping import (
     depth_overhead,
+    GroupingResult,
     estimate_shots,
     lf_grouping,
-    member_shot_count,
     protocol_shot_estimate,
     rlf_grouping,
     si_grouping,
 )
-from hcbmeasure.groups import diagonalized_members, diagonalizing_circuit
-from hcbmeasure.hcb import run_protocol
+from hcbmeasure.groups import CommutingGroup, diagonalized_members, diagonalizing_circuit
+from hcbmeasure.hcb import extract_hcb, hcb_to_groups, run_protocol
+from hcbmeasure.integrals import IntegralTensors
 from hcbmeasure.paulis import PauliString, PauliSum
 from hcbmeasure.rotations import graph_rotation
 from hcbmeasure.circuits import Circuit
@@ -22,40 +23,37 @@ from hcbmeasure.simulator import Statevector, rotation_circuit
 
 
 def _random_operator(rng, n_qubits, n_strings):
-    op = PauliSum(n_qubits)
-    while len(op) < n_strings:
-        op.add_term(
-            PauliString(
-                n_qubits,
-                int(rng.integers(0, 1 << n_qubits)),
-                int(rng.integers(0, 1 << n_qubits)),
-            ),
-            float(rng.normal()),
+    terms = {}
+    while len(terms) < n_strings:
+        string = PauliString(
+            n_qubits,
+            int(rng.integers(0, 1 << n_qubits)),
+            int(rng.integers(0, 1 << n_qubits)),
         )
-    return op
+        terms[string] = terms.get(string, 0.0) + float(rng.normal())
+    return PauliSum(n_qubits, terms)
+
+
+def _sum(n_qubits, *terms):
+    return PauliSum(n_qubits, {PauliString.from_label(n_qubits, label): c for label, c in terms})
 
 
 def test_lf_all_diagonal_collapses_to_one_group():
-    op = PauliSum(3)
-    for label in ("Z0", "Z1", "Z0 Z2", "Z1 Z2"):
-        op.add_term(PauliString.from_label(3, label), 0.5)
+    op = _sum(3, *((label, 0.5) for label in ("Z0", "Z1", "Z0 Z2", "Z1 Z2")))
     result = lf_grouping(op)
     assert result.group_count == 1
     result.check()
 
 
 def test_lf_anticommuting_pair_needs_two_groups():
-    op = PauliSum(1)
-    op.add_term(PauliString.from_label(1, "X0"), 1.0)
-    op.add_term(PauliString.from_label(1, "Z0"), 1.0)
+    op = _sum(1, ("X0", 1.0), ("Z0", 1.0))
     assert lf_grouping(op).group_count == 2
     assert rlf_grouping(op).group_count == 2
     assert si_grouping(op).group_count == 2
 
 
 def test_single_term_single_group():
-    op = PauliSum(2)
-    op.add_term(PauliString.from_label(2, "X0 Y1"), 0.3)
+    op = _sum(2, ("X0 Y1", 0.3))
     for result in (lf_grouping(op), rlf_grouping(op), si_grouping(op)):
         assert result.group_count == 1
 
@@ -93,8 +91,15 @@ def test_memberships_are_pinned(request, system, grouping, count, digest):
     assert membership_digest(result.groups) == digest
 
 
+def _member_shots(string, coeff, value, epsilon):
+    """w^2 (1 - <P>^2) / epsilon^2 shots for one weighted string; the identity costs 0."""
+    if string == PauliString(string.n_qubits):
+        return 0.0
+    return coeff**2 * max(0.0, 1.0 - value**2) / epsilon**2
+
+
 def _per_member_budgets(groups, state, epsilon):
-    return [max([0.0] + [member_shot_count(s, c, full_vector_expectation(state, s), epsilon)
+    return [max([0.0] + [_member_shots(s, c, full_vector_expectation(state, s), epsilon)
                          for s, c in group.members])
             for group in groups]
 
@@ -118,10 +123,7 @@ def test_partitions_rebuild_operator(h4_operator):
     for result in (lf_grouping(h4_operator), rlf_grouping(h4_operator),
                    si_grouping(h4_operator)):
         result.check()
-        union = PauliSum(h4_operator.n_qubits)
-        for group in result.groups:
-            union = union + group.to_sum()
-        assert sum_gap(union, h4_operator) < 1e-12
+        assert sum_gap(group_union(result.groups), h4_operator) < 1e-12
 
 
 def test_grouping_determinism(h4_operator):
@@ -144,20 +146,38 @@ def test_rlf_no_worse_than_lf_on_random_operators():
 def test_diagonalizer_certified(h4_operator):
     result = si_grouping(h4_operator)
     for group in result.groups[:5]:
-        circuit = diagonalizing_circuit(group)
-        for image, _coeff in diagonalized_members(group, circuit):
-            assert image.is_diagonal()
+        z, signs = diagonalized_members(group, diagonalizing_circuit(group))
+        assert len(z) == len(signs) == len(group.members)
+
+
+def _shots(state, epsilon, *groups):
+    result = GroupingResult(state.n_qubits, "SI", tuple(CommutingGroup(op) for op in groups))
+    return list(estimate_shots(result, state, epsilon).per_group)
 
 
 def test_member_shot_count_rules():
-    identity = PauliString(2)
-    assert member_shot_count(identity, 5.0, 1.0, 1e-3) == 0.0
-    z0 = PauliString.from_label(2, "Z0")
+    zero, one = Statevector.computational_basis(2, 0b00), Statevector.computational_basis(2, 0b01)
+    plus = Statevector(2, np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0))
+    # the identity costs nothing
+    assert _shots(plus, 1e-3, _sum(2, ("", 5.0))) == [0.0]
     # stabilizer direction: <P> = ±1 means zero variance
-    assert member_shot_count(z0, 2.0, 1.0, 1e-3) == 0.0
-    assert member_shot_count(z0, 2.0, -1.0, 1e-3) == 0.0
-    # w^2 (1 - <P>^2) / eps^2
-    assert member_shot_count(z0, 2.0, 0.0, 1e-2) == pytest.approx(4.0 / 1e-4)
+    assert _shots(zero, 1e-3, _sum(2, ("Z0", 2.0))) == [0.0]
+    assert _shots(one, 1e-3, _sum(2, ("Z0", 2.0))) == [0.0]
+    # w^2 (1 - <P>^2) / eps^2, the group's most demanding member
+    assert _shots(plus, 1e-2, _sum(2, ("Z0", 2.0), ("Z1", 3.0))) == [pytest.approx(4.0 / 1e-4)]
+
+
+def test_an_empty_layer_group_costs_no_shots(h2_ground):
+    """A layer without off-diagonal entries leaves groups 2 and 3 empty."""
+    n = 2
+    layer, _ = extract_hcb(IntegralTensors(n, np.diag([-1.0, -0.5]), np.zeros((n,) * 4)))
+    groups = hcb_to_groups(layer)
+    assert [len(group.op) for group in groups][1:] == [0, 0]
+    _, state = h2_ground
+    result = GroupingResult(2 * n, "SI", groups)
+    per_group = estimate_shots(result, state, 1e-3).per_group
+    assert per_group[1:] == (0.0, 0.0)
+    assert per_group[0] == _per_member_budgets(groups[:1], state, 1e-3)[0] > 0.0
 
 
 def test_estimate_shots_epsilon_scaling(h2_operator, h2_ground):
@@ -191,9 +211,7 @@ def test_shot_estimate_csv(h2_operator, h2_ground):
 
 
 def test_stabilizer_state_costs_nothing():
-    op = PauliSum(2)
-    op.add_term(PauliString.from_label(2, "Z0"), 1.0)
-    op.add_term(PauliString.from_label(2, "Z0 Z1"), 0.5)
+    op = _sum(2, ("Z0", 1.0), ("Z0 Z1", 0.5))
     state = Statevector.computational_basis(2, 0b01)
     estimate = estimate_shots(si_grouping(op), state)
     assert estimate.total == 0.0

@@ -14,7 +14,7 @@ from hcbmeasure.groups import (
 )
 from hcbmeasure.grouping import lf_grouping, rlf_grouping, si_grouping
 from hcbmeasure.hcb import extract_hcb, hcb_to_groups, run_protocol
-from hcbmeasure.paulis import PauliString
+from hcbmeasure.paulis import PauliString, PauliSum
 from hcbmeasure.simulator import Statevector, apply_circuit
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -24,6 +24,24 @@ _I = np.eye(2, dtype=complex)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _S = np.array([[1, 0], [0, 1j]], dtype=complex)
 _MATS = {"I": _I, "X": _X, "Y": _Y, "Z": _Z}
+
+
+def _group(n: int, *terms: tuple[str, float], **kwargs) -> CommutingGroup:
+    return CommutingGroup(
+        PauliSum(n, {PauliString.from_label(n, label): c for label, c in terms}), **kwargs)
+
+
+def _conjugate_one(string: PauliString, circuit: Circuit) -> tuple[PauliString, float]:
+    """conjugate_pauli of one string: (image, sign)."""
+    x, z, signs = conjugate_pauli(PauliSum(string.n_qubits, {string: 1.0}), circuit)
+    return PauliString(string.n_qubits, int(x[0]), int(z[0])), float(signs[0])
+
+
+def _diagonal_members(group, circuit) -> list[tuple[PauliString, float]]:
+    """diagonalized_members as (image, folded coefficient) pairs."""
+    z, signs = diagonalized_members(group, circuit)
+    return [(PauliString(group.n_qubits, 0, image), sign * c)
+            for image, sign, c in zip(z.tolist(), signs.tolist(), group.op.coeffs.tolist())]
 
 
 def _dense_string(string) -> np.ndarray:
@@ -91,7 +109,7 @@ def test_conjugate_pauli_matches_dense_unitary():
         u = _dense_circuit(circuit)
         string = PauliString(
             n, int(rng.integers(0, 8)), int(rng.integers(0, 8)))
-        image, sign = conjugate_pauli(string, circuit)
+        image, sign = _conjugate_one(string, circuit)
         assert sign in (1, -1)
         lhs = u @ _dense_string(string) @ u.conj().T
         rhs = sign * _dense_string(image)
@@ -107,7 +125,7 @@ def test_conjugate_pauli_matches_each_dense_gate(name, qubits):
     for x in range(4):
         for z in range(4):
             string = PauliString(2, x, z)
-            image, sign = conjugate_pauli(string, circuit)
+            image, sign = _conjugate_one(string, circuit)
             lhs = u @ _dense_string(string) @ u.conj().T
             assert np.max(np.abs(lhs - sign * _dense_string(image))) < 1e-12
 
@@ -140,31 +158,26 @@ def test_apply_clifford_matches_the_dense_circuit(n):
 
 
 def test_diagonal_group_needs_no_gates():
-    group = CommutingGroup(2, (
-        (PauliString.from_label(2, "Z0"), 1.0),
-        (PauliString.from_label(2, "Z0 Z1"), -0.5),
-    ), kind="diagonal_z")
+    group = _group(2, ("Z0", 1.0), ("Z0 Z1", -0.5), kind="diagonal_z")
     assert len(diagonalizing_circuit(group)) == 0
 
 
 def test_single_x_needs_one_hadamard():
-    group = CommutingGroup(1, ((PauliString.from_label(1, "X0"), 1.0),))
+    group = _group(1, ("X0", 1.0))
     circuit = diagonalizing_circuit(group)
     assert [g.name for g in circuit.gates] == ["H"]
-    members = diagonalized_members(group, circuit)
-    assert members[0][0].label() == "Z0"
-    assert members[0][1] == 1.0
+    z, signs = diagonalized_members(group, circuit)
+    assert z.tolist() == [1]
+    assert signs.tolist() == [1.0]
 
 
 def test_hcb_group_diagonalization_certified(h4_tensors):
     groups = hcb_to_groups(extract_hcb(h4_tensors)[0])
     for group in groups:
         circuit = diagonalizing_circuit(group)
-        members = diagonalized_members(group, circuit)  # certifies diagonality
-        assert len(members) == len(group.members)
-        # signs folded into coefficients, images all Z-type
-        for image, _coeff in members:
-            assert image.is_diagonal()
+        z, signs = diagonalized_members(group, circuit)  # certifies diagonality
+        assert len(z) == len(signs) == len(group.members)
+        assert set(signs.tolist()) <= {1.0, -1.0}
 
 
 def _assert_diagonalizes_spectrum(group):
@@ -173,7 +186,7 @@ def _assert_diagonalizes_spectrum(group):
     u = _dense_circuit(circuit)
     original = sum(c * _dense_string(s) for s, c in group.members)
     rotated = u @ original @ u.conj().T
-    diag = sum(c * _dense_string(s) for s, c in diagonalized_members(group, circuit))
+    diag = sum(c * _dense_string(s) for s, c in _diagonal_members(group, circuit))
     assert np.max(np.abs(rotated - diag)) < 1e-10
 
 
@@ -191,16 +204,16 @@ def test_diagonalization_preserves_spectrum_of_random_commuting_groups(n):
         scramble = _random_circuit(rng, n, 4 * n)
         members = []
         for z in z_masks:
-            image, sign = conjugate_pauli(PauliString(n, 0, int(z)), scramble)
+            image, sign = _conjugate_one(PauliString(n, 0, int(z)), scramble)
             members.append((image, sign * float(rng.normal())))
-        _assert_diagonalizes_spectrum(CommutingGroup(n, tuple(members)))
+        _assert_diagonalizes_spectrum(CommutingGroup(PauliSum(n, dict(members))))
 
 
 def _diagonalization_digest(groups):
     data = []
     for group in groups:
         circuit = diagonalizing_circuit(group)
-        members = diagonalized_members(group, circuit)
+        members = _diagonal_members(group, circuit)
         data.append(([(gate.name, gate.qubits) for gate in circuit.gates],
                      [(image.z_mask, folded.hex()) for image, folded in members]))
     return hashlib.sha256(repr(data).encode()).hexdigest()
@@ -238,34 +251,32 @@ def test_diagonalizations_are_pinned(request, system, method, count, digest):
 
 
 def test_non_commuting_group_rejected():
-    group = CommutingGroup(1, (
-        (PauliString.from_label(1, "X0"), 1.0),
-        (PauliString.from_label(1, "Z0"), 1.0),
-    ))
+    group = _group(1, ("X0", 1.0), ("Z0", 1.0))
     with pytest.raises(ValueError, match="commute"):
         diagonalizing_circuit(group)
     with pytest.raises(ValueError, match="commute"):
         group.check_commuting()
-    group = CommutingGroup(2, tuple(
-        (PauliString.from_label(2, label), 1.0) for label in ("Z0", "Z1", "X0", "X1")
-    ), label="g")
+    group = _group(2, *((label, 1.0) for label in ("Z0", "Z1", "X0", "X1")), label="g")
     with pytest.raises(ValueError, match="^group 'g': Z0 and X0 do not commute$"):
         group.check_commuting()
 
 
 def test_group_kind_validation():
     with pytest.raises(ValueError, match="kind"):
-        CommutingGroup(1, (), kind="sideways")
+        CommutingGroup(PauliSum(1), kind="sideways")
 
 
 def test_group_to_sum_round_trip():
-    group = CommutingGroup(2, (
-        (PauliString.from_label(2, "Z0"), 0.25),
-        (PauliString.from_label(2, "Z1"), -0.75),
-    ))
-    total = group.to_sum()
-    assert total.coefficient(PauliString.from_label(2, "Z0")) == 0.25
-    assert total.coefficient(PauliString.from_label(2, "Z1")) == -0.75
+    """A group is its sum: members are the sum's terms, as Python ints and floats."""
+    group = _group(2, ("Z1", -0.75), ("Z0", 0.25))
+    assert group.n_qubits == 2
+    assert group.op.coefficient(PauliString.from_label(2, "Z0")) == 0.25
+    assert group.op.coefficient(PauliString.from_label(2, "Z1")) == -0.75
+    assert group.members == tuple(group.op.terms())
+    assert [(s.label(), c) for s, c in group.members] == [("Z0", 0.25), ("Z1", -0.75)]
+    for string, coeff in group.members:
+        assert type(string.x_mask) is int and type(string.z_mask) is int
+        assert type(coeff) is float
 
 
 def test_circuit_add_validates_qubits():

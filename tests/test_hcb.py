@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import membership_digest, random_tensors, sum_gap
+from conftest import group_union, membership_digest, random_tensors, sum_gap
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +16,7 @@ from hcbmeasure.hcb import (
     run_protocol,
 )
 from hcbmeasure.integrals import IntegralTensors, rdm_expectation
+from hcbmeasure.paulis import anticommutation_matrix
 from hcbmeasure.rotations import (
     distance_ranked_matchings,
     graph_rotation,
@@ -31,7 +32,7 @@ from hcbmeasure.simulator import (
     expectation,
     ground_state,
     rotation_circuit,
-    spin_summed_rdms,
+    spin_rdms,
 )
 
 
@@ -171,8 +172,8 @@ def test_pair_hop_member_sets():
     tensors = IntegralTensors(
         n, np.zeros((n, n)), np.einsum("ijkl->ikjl", chem))
     groups = hcb_to_groups(extract_hcb(tensors)[0])
-    labels2 = {s.label() for s in groups[1].strings()}
-    labels3 = {s.label() for s in groups[2].strings()}
+    labels2 = {s.label() for s, _ in groups[1].members}
+    labels3 = {s.label() for s, _ in groups[2].members}
     assert labels2 == {"Y0 X1 X2 Y3", "X0 Y1 Y2 X3"}
     assert labels3 == {"Y0 Y1 X2 X3", "X0 X1 Y2 Y3"}
 
@@ -182,8 +183,7 @@ def test_groups_partition_paired_operator_both_orderings(h4_tensors):
     for ordering in ("interleaved", "reordered"):
         op = build_qubit_hamiltonian(layer, ordering, 0.0)
         groups = hcb_to_groups(layer, ordering)
-        union = groups[0].to_sum() + groups[1].to_sum() + groups[2].to_sum()
-        assert sum_gap(op, union) < 1e-10
+        assert sum_gap(op, group_union(groups)) < 1e-10
 
 
 def test_full_tensors_do_not_fit_the_paired_groups(h4_tensors):
@@ -233,13 +233,10 @@ def test_layer_groups_are_pinned(request, system, rotation, ordering, sizes, dig
 def test_groups_internally_commute_h6(h6_tensors):
     groups = hcb_to_groups(extract_hcb(h6_tensors)[0])
     for group in groups:
-        strings = group.strings()
-        for i in range(len(strings)):
-            for j in range(i + 1, len(strings)):
-                assert strings[i].commutes_with(strings[j])
+        assert not anticommutation_matrix(group.op).any()
     # off-diagonal families carry no Z-type strings
     for group in groups[1:]:
-        assert all(not s.is_diagonal() for s in group.strings())
+        assert np.all(group.op.x != 0)
 
 
 def test_protocol_identity_rotation_exact_on_h2(h2_natural_tensors):
@@ -330,7 +327,7 @@ def test_rdm_contraction_matches_pauli_path_on_ground_states(
     tensors = request.getfixturevalue(f"{system}_tensors")
     op = build_qubit_hamiltonian(tensors, ordering, 0.0)
     _, state = ground_state(op, tensors.n_orbitals, ordering=ordering)
-    one_rdm, two_rdm = spin_summed_rdms(state, ordering)
+    one_rdm, two_rdm = spin_rdms(state, ordering)[:2]
     assert abs(rdm_expectation(tensors, one_rdm, two_rdm)
                - expectation(state, op)) < 1e-12
 
@@ -340,7 +337,7 @@ def test_rdm_contraction_matches_pauli_path_on_random_state(h4_tensors, ordering
     """The full-space random state mixes every particle number."""
     state = _random_state(8, 5)
     op = build_qubit_hamiltonian(h4_tensors, ordering, 0.0)
-    one_rdm, two_rdm = spin_summed_rdms(state, ordering)
+    one_rdm, two_rdm = spin_rdms(state, ordering)[:2]
     assert abs(rdm_expectation(h4_tensors, one_rdm, two_rdm)
                - expectation(state, op)) < 1e-12
 
@@ -380,15 +377,15 @@ def test_rdm_energy_is_rotation_invariant(n, seed, ordering):
     rotation = random_orthogonal_rotation(n, seed=seed)
     state = _random_state(2 * n, seed)
     rotated = apply_circuit(state, rotation_circuit(rotation, n, ordering))
-    before = rdm_expectation(tensors, *spin_summed_rdms(state, ordering))
+    before = rdm_expectation(tensors, *spin_rdms(state, ordering)[:2])
     after = rdm_expectation(rotate_integrals(tensors, rotation),
-                            *spin_summed_rdms(rotated, ordering))
+                            *spin_rdms(rotated, ordering)[:2])
     assert abs(after - before) < 1e-10
 
 
 def test_rdm_checks_reject_corrupted_pairs(h4_ground):
     _, state = h4_ground
-    one_rdm, two_rdm = spin_summed_rdms(state)
+    one_rdm, two_rdm, _ = spin_rdms(state)
     _check_rdms(state, one_rdm, two_rdm)
     skewed = one_rdm.copy()
     skewed[0, 1] += 1e-6
@@ -414,7 +411,7 @@ def _assert_values_match_pauli_route(tensors, rotations, state, ordering):
     n = tensors.n_orbitals
     for record in run_protocol(tensors, rotations, state, ordering):
         rotated = apply_circuit(state, rotation_circuit(record.rotation, n, ordering))
-        pauli = [expectation(rotated, group.to_sum()) for group in record.groups]
+        pauli = [expectation(rotated, group.op) for group in record.groups]
         assert np.max(np.abs(np.subtract(record.contributions, pauli))) < 1e-12
 
 

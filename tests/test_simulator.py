@@ -86,6 +86,11 @@ def _dense_sum(op: PauliSum) -> np.ndarray:
     return total
 
 
+def _group(n: int, *terms: tuple[str, float]) -> CommutingGroup:
+    return CommutingGroup(
+        PauliSum(n, {PauliString.from_label(n, label): c for label, c in terms}))
+
+
 def _random_state(n_qubits, seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=2 ** n_qubits) + 1j * rng.normal(size=2 ** n_qubits)
@@ -304,13 +309,13 @@ def _n_sector_matrix(op: PauliSum, n_electrons: int):
     idx = np.arange(1 << op.n_qubits, dtype=np.int64)
     sector = idx[np.bitwise_count(idx) == n_electrons]
     rows, cols, vals = [], [], []
-    terms = op.terms()
-    for x_mask, by_z in _x_patterns([s for s, _ in terms], op.n_qubits).items():
+    coeffs = op.coeffs.tolist()
+    for x_mask, by_z in _x_patterns(op.x, op.z).items():
         target = sector ^ x_mask
         src = np.flatnonzero(np.bitwise_count(target) == n_electrons)
         amp = np.zeros(len(src), dtype=complex)
         for z_mask, (i,) in by_z.items():
-            phased = terms[i][1] * y_phase(x_mask, z_mask)
+            phased = coeffs[i] * y_phase(x_mask, z_mask)
             amp += phased * (1.0 - 2.0 * _parity(sector[src], z_mask))
         rows.append(np.searchsorted(sector, target[src]))
         cols.append(src)
@@ -430,7 +435,9 @@ def test_an_odd_y_operator_builds_complex_and_keeps_its_eigenpair(h4_operator):
     hop = jw_encode(8, [(c, ((so[p][s], True), (so[q][s], False)))
                         for s in (0, 1) for p, q, c in ((0, 2, 0.3j), (2, 0, -0.3j))])
     assert any((s.x_mask & s.z_mask).bit_count() % 2 for s, _ in hop.terms())
-    op = h4_operator + hop
+    terms = dict(h4_operator.terms())
+    assert terms.keys().isdisjoint(dict(hop.terms()))
+    op = PauliSum(8, {**terms, **dict(hop.terms())})
     block, mat = _block_operator(op, 4, "interleaved")
     _, want = block_operator_oracle(op, 4, "interleaved")
     assert mat.dtype == np.complex128 and np.any(mat.data.imag)
@@ -480,10 +487,9 @@ def test_real_lanczos_is_bit_identical_across_processes():
 
 def test_expectation_basics():
     state = Statevector.computational_basis(2, 0b00)
-    z0 = PauliString.from_label(2, "Z0")
-    assert pauli_expectations(state, [z0])[0] == pytest.approx(1.0)
+    assert pauli_expectations(state, [0], [1])[0] == pytest.approx(1.0)  # Z0
     state1 = Statevector.computational_basis(2, 0b01)
-    assert pauli_expectations(state1, [z0])[0] == pytest.approx(-1.0)
+    assert pauli_expectations(state1, [0], [1])[0] == pytest.approx(-1.0)
 
 
 @pytest.mark.parametrize("block", [simulator.SIGN_BLOCK, 5])
@@ -501,23 +507,26 @@ def test_pauli_expectations_match_the_full_vector_path(monkeypatch, seed, zeros,
     every = [PauliString(n, x, z) for x in range(2**n) for z in range(2**n)]
     strings = [every[i] for i in rng.permutation(len(every))] + every[:9]
     want = np.array([full_vector_expectation(state, s) for s in strings])
-    assert np.max(np.abs(pauli_expectations(state, strings) - want)) < 1e-12
-    assert pauli_expectations(state, []).shape == (0,)
-    with pytest.raises(ValueError, match="qubit counts differ"):
-        pauli_expectations(state, [PauliString(2, 1, 0)])
+    x = np.array([s.x_mask for s in strings], dtype=np.uint64)
+    z = np.array([s.z_mask for s in strings], dtype=np.uint64)
+    assert np.max(np.abs(pauli_expectations(state, x, z) - want)) < 1e-12
+    assert pauli_expectations(state, [], []).shape == (0,)
+    with pytest.raises(ValueError, match="out of range for the state's 3 qubits"):
+        pauli_expectations(state, [8], [0])
 
 
 def test_expectation_linearity():
     rng = np.random.default_rng(3)
     state = _random_state(3, 4)
-    op1 = PauliSum(3)
-    op2 = PauliSum(3)
+    terms1, terms2 = {}, {}
     for _ in range(10):
         s = PauliString(3, int(rng.integers(0, 8)), int(rng.integers(0, 8)))
-        op1.add_term(s, float(rng.normal()))
+        terms1[s] = terms1.get(s, 0.0) + float(rng.normal())
         s = PauliString(3, int(rng.integers(0, 8)), int(rng.integers(0, 8)))
-        op2.add_term(s, float(rng.normal()))
-    lhs = expectation(state, op1 + op2)
+        terms2[s] = terms2.get(s, 0.0) + float(rng.normal())
+    total = {s: terms1.get(s, 0.0) + terms2.get(s, 0.0) for s in terms1.keys() | terms2.keys()}
+    op1, op2 = PauliSum(3, terms1), PauliSum(3, terms2)
+    lhs = expectation(state, PauliSum(3, total))
     rhs = expectation(state, op1) + expectation(state, op2)
     assert abs(lhs - rhs) < 1e-12
 
@@ -530,10 +539,7 @@ def test_expectation_matches_dense(h2_operator):
 
 
 def test_sample_group_stabilizer_is_exact():
-    group = CommutingGroup(2, (
-        (PauliString.from_label(2, "Z0"), 1.5),
-        (PauliString.from_label(2, "Z0 Z1"), -0.5),
-    ))
+    group = _group(2, ("Z0", 1.5), ("Z0 Z1", -0.5))
     state = Statevector.computational_basis(2, 0b01)
     rng = np.random.default_rng(0)
     sample = sample_group(state, group, shots=3, rng=rng)
@@ -545,7 +551,7 @@ def test_sample_group_stabilizer_is_exact():
 
 def test_sample_group_unbiased_on_superposition():
     plus = Statevector(1, np.array([1.0, 1.0]) / np.sqrt(2))
-    group = CommutingGroup(1, ((PauliString.from_label(1, "Z0"), 1.0),))
+    group = _group(1, ("Z0", 1.0))
     rng = np.random.default_rng(123)
     estimates = [
         sample_group(plus, group, shots=10_000, rng=rng).energy
@@ -555,11 +561,13 @@ def test_sample_group_unbiased_on_superposition():
     assert abs(np.mean(estimates)) < 3 * sigma
 
 
-@pytest.mark.parametrize("coeff", [1.0, 0.0, -0.0])
+@pytest.mark.parametrize("coeff", [1.0, -1.0])
 def test_member_estimates_keep_the_folded_sign_of_zero_coefficients(coeff):
-    """Y0 diagonalizes to -Z0; <Y0> = 1 on (|0> + i|1>)/sqrt(2)."""
+    """Y0 diagonalizes to -Z0; <Y0> = 1 on (|0> + i|1>)/sqrt(2).  The
+    estimate's sign comes from the conjugation, whatever the coefficient's
+    sign; a group holds no zero coefficient."""
     state = Statevector(1, np.array([1.0, 1.0j]) / np.sqrt(2.0))
-    group = CommutingGroup(1, ((PauliString.from_label(1, "Y0"), coeff),))
+    group = _group(1, ("Y0", coeff))
     sample = sample_group(state, group, shots=50, rng=np.random.default_rng(0))
     assert sample.member_estimates.tolist() == [1.0]
 
@@ -580,7 +588,7 @@ def test_draws_keep_the_choice_random_stream(name, shots):
     probs = STREAM_PROBABILITIES[name]
     n = len(probs).bit_length() - 1
     state = Statevector(n, np.sqrt(probs))
-    group = CommutingGroup(n, ((PauliString.from_label(n, "Z0"), 1.0),))
+    group = _group(n, ("Z0", 1.0))
     prepared = _PreparedGroup.build(state, group)
     p = state.probabilities()
     p = p / p.sum()
@@ -598,7 +606,7 @@ def test_sample_group_matches_the_per_member_loop(monkeypatch, h4_operator, h4_g
     _, state = h4_ground
     for k, group in enumerate(si_grouping(h4_operator).groups):
         circuit = diagonalizing_circuit(group)
-        members = diagonalized_members(group, circuit)
+        z, signs = diagonalized_members(group, circuit)
         p = apply_circuit(state, circuit).probabilities()
         p = p / p.sum()
         for seed, shots in ((k, 1), (100 + k, 5000)):
@@ -607,16 +615,16 @@ def test_sample_group_matches_the_per_member_loop(monkeypatch, h4_operator, h4_g
             values, counts = np.unique(outcomes, return_counts=True)
             weights = counts / shots
             estimates, energy = [], 0.0
-            for (image, folded), (_, coeff) in zip(members, group.members):
-                mean = float(np.dot(weights, 1.0 - 2.0 * _parity(values, image.z_mask)))
-                estimates.append(mean if folded == coeff else -mean)
-                energy += folded * mean
+            for image, sign, (_, coeff) in zip(z.tolist(), signs.tolist(), group.members):
+                mean = float(np.dot(weights, 1.0 - 2.0 * _parity(values, image)))
+                estimates.append(sign * mean)
+                energy += sign * coeff * mean
             np.testing.assert_allclose(sample.member_estimates, estimates, rtol=0, atol=1e-15)
             assert abs(sample.energy - energy) < 1e-12
 
 
 def test_finite_sample_identity_only_has_zero_error():
-    group = CommutingGroup(2, ((PauliString(2), 0.7),))
+    group = CommutingGroup(PauliSum(2, {PauliString(2): 0.7}))
     state = Statevector.computational_basis(2)
     result = finite_sample_experiment([(group, state, 10)], repetitions=5,
                                       seed=1)
