@@ -9,7 +9,7 @@ and simulates the whole pipeline on a dense statevector backend.
 __version__ = "0.1.0"
 
 from .circuits import Circuit, Gate
-from .encoding import ORDERINGS, build_qubit_hamiltonian, jw_encode, spin_orbital_index
+from .encoding import ORDERINGS, build_qubit_hamiltonian, jw_encode, qubit_table, spin_orbital_index
 from .experiments import ExperimentConfig, config_from_dict, load_config
 from .fcidump import read_fcidump, read_fcidump_header, write_fcidump
 from .geometry import Geometry, build_geometry, from_xyz, to_xyz
@@ -84,7 +84,7 @@ __all__ = [
     "givens_rotation", "graph_rotation", "random_orthogonal_rotation",
     "rotate_integrals", "perfect_matchings", "distance_ranked_matchings",
     # qubit encoding / Pauli algebra
-    "ORDERINGS", "spin_orbital_index", "jw_encode", "build_qubit_hamiltonian",
+    "ORDERINGS", "qubit_table", "spin_orbital_index", "jw_encode", "build_qubit_hamiltonian",
     "PauliString", "PauliSum", "anticommutation_matrix",
     # paired-layer extraction and the iterative protocol
     "extract_hcb", "hcb_to_groups",

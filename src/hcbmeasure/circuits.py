@@ -10,7 +10,7 @@ Gates and the operators they apply (qubit j is spin orbital j):
 
 The two fermionic gates take qubits, not spatial orbitals: the builders
 (simulator.rotation_circuit, PairAnsatz.circuit) resolve (orbital, spin)
-with encoding.spin_orbital_index.  They carry exact Jordan-Wigner phases.
+with encoding.qubit_table.  They carry exact Jordan-Wigner phases.
 """
 
 from __future__ import annotations

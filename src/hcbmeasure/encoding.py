@@ -4,8 +4,10 @@ Spin orbital layouts ("orderings") supported:
   interleaved: spin orbital = 2*orbital + spin   (up, down per atom adjacent)
   reordered:   spin orbital = orbital + spin*N   (all up first, then all down)
 
-Qubit j corresponds to spin orbital j; occupation maps |1> on the qubit,
-so number operators become (I - Z)/2.
+qubit_table is the one place a layout is spelled out; every (orbital, spin)
+-> qubit lookup in the package reads it.  Qubit j corresponds to spin
+orbital j; occupation maps |1> on the qubit, so number operators become
+(I - Z)/2.
 """
 
 from __future__ import annotations
@@ -32,16 +34,23 @@ def check_ordering(ordering: str) -> str:
     return ordering
 
 
+def qubit_table(n_orbitals: int, ordering: str) -> np.ndarray:
+    """The layout as an (n_orbitals, 2) array: [orbital, spin] -> qubit, spin
+    0 up and 1 down."""
+    check_ordering(ordering)
+    orbital, spin = np.indices((n_orbitals, 2))
+    if ordering == "interleaved":
+        return 2 * orbital + spin
+    return orbital + spin * n_orbitals
+
+
 def spin_orbital_index(orbital: int, spin: int, n_orbitals: int, ordering: str) -> int:
     """Map (spatial orbital, spin) to a qubit index; spin 0 is up, 1 is down."""
-    check_ordering(ordering)
     if not 0 <= orbital < n_orbitals:
         raise ValueError(f"orbital {orbital} out of range for N={n_orbitals}")
     if spin not in (0, 1):
         raise ValueError(f"spin must be 0 or 1, got {spin}")
-    if ordering == "interleaved":
-        return 2 * orbital + spin
-    return orbital + spin * n_orbitals
+    return int(qubit_table(n_orbitals, ordering)[orbital, spin])
 
 
 def _check_spin_orbital(n_qubits: int, index: int) -> None:
@@ -195,9 +204,7 @@ def _hamiltonian_batches(tensors: IntegralTensors, ordering: str) -> list[_Batch
     (k, l, m, n) row-major, then (s1, s2).  Integrals at or below ZERO_TOL
     (after halving, for g) give no entries.
     """
-    check_ordering(ordering)
-    n = tensors.n_orbitals
-    so = np.array([[spin_orbital_index(k, s, n, ordering) for s in range(2)] for k in range(n)])
+    so = qubit_table(tensors.n_orbitals, ordering)
     entries = [] if tensors.e_nuc == 0.0 else [
         (np.array([tensors.e_nuc]), np.zeros((1, 0), dtype=np.int64), ())]
     h = tensors.one_body

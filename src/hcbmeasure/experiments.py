@@ -47,7 +47,7 @@ from .simulator import (
     Statevector,
     apply_circuit,
     build_pair_ansatz,
-    expectation,
+    exact_plan_energy,
     finite_sample_experiment,
     ground_state,
     ground_state_and_ansatz_optimum,
@@ -318,10 +318,9 @@ def resolve_system(config: ExperimentConfig) -> ResolvedSystem:
     return ResolvedSystem(tensors, tensors.n_orbitals, geometry, spec.label())
 
 
-def _distance_matrix(geometry: Geometry) -> np.ndarray:
-    coords = np.asarray(geometry.coordinates, dtype=float)
-    delta = coords[:, None, :] - coords[None, :, :]
-    return np.sqrt(np.sum(delta * delta, axis=-1))
+def _matching_count(n: int) -> int:
+    """(n-1)!!, the count of perfect matchings of n orbitals; 0 for odd n."""
+    return math.prod(range(n - 1, 0, -2)) if n % 2 == 0 else 0
 
 
 def build_rotations(
@@ -337,13 +336,11 @@ def build_rotations(
     if auto_graphs is None:
         # an otherwise empty set takes the top ranked matchings, if any exist
         bare = not spec.graphs and not spec.random_count
-        n_matchings = math.prod(range(n - 1, 0, -2)) if n % 2 == 0 else 0
-        auto_graphs = min(3, n_matchings) if bare and system.geometry is not None else 0
+        auto_graphs = min(3, _matching_count(n)) if bare and system.geometry is not None else 0
     if auto_graphs > 0:
         if system.geometry is None:
             raise ValueError("auto_graphs needs a geometry-backed system, not FCIDUMP")
-        ranked = distance_ranked_matchings(_distance_matrix(system.geometry),
-                                           auto_graphs)
+        ranked = distance_ranked_matchings(system.geometry.distances(), auto_graphs)
         rotations.extend(graph_rotation(g, spec.theta) for g in ranked)
     for k in range(spec.random_count):
         rotations.append(random_orthogonal_rotation(n, spec.random_seed + k))
@@ -535,11 +532,9 @@ def _cmd_decompose_batch(config: ExperimentConfig) -> dict:
                          "batch.seed and batch.random_rotations instead")
     # default: the top 5 pairing graphs, or all (n-1)!! when there are
     # fewer (none for odd n); an explicit auto_graphs, 0 included, wins
-    n = spec.n_atoms
-    n_matchings = math.prod(range(n - 1, 0, -2)) if n % 2 == 0 else 0
     auto_graphs = rotations.auto_graphs
     if auto_graphs is None:
-        auto_graphs = min(5, n_matchings)
+        auto_graphs = min(5, _matching_count(spec.n_atoms))
     if not (rotations.graphs or auto_graphs or batch.random_rotations):
         raise ValueError("the rotation set is empty; give graphs, auto_graphs "
                          "or batch random_rotations")
@@ -693,9 +688,7 @@ def cmd_sample(config: ExperimentConfig) -> dict:
     plan = _sampling_plan(config, system, op, state)
 
     if config.infinite_shots:
-        exact = 0.0
-        for group, st, _ in plan:  # in finite_sample_experiment's order and rounding
-            exact += expectation(st, group.op)
+        exact = exact_plan_energy(plan)
         energies = np.full(config.repetitions, exact)
         errors = np.zeros(config.repetitions)
         total_shots = 0

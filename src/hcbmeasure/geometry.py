@@ -28,21 +28,21 @@ class Geometry:
                 f"coordinates shape {coords.shape} does not match {len(self.symbols)} atoms"
             )
         object.__setattr__(self, "coordinates", coords)
-        n = len(self.symbols)
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = float(np.linalg.norm(coords[i] - coords[j]))
-                if d <= MIN_PAIR_DISTANCE:
-                    raise ValueError(
-                        f"atoms {i} and {j} are {d:.3f} A apart (<= {MIN_PAIR_DISTANCE} A)"
-                    )
+        distances = self.distances()
+        close = np.argwhere(np.triu(distances <= MIN_PAIR_DISTANCE, 1))
+        if len(close):
+            i, j = close[0]
+            raise ValueError(f"atoms {i} and {j} are {distances[i, j]:.3f} A apart "
+                             f"(<= {MIN_PAIR_DISTANCE} A)")
 
     @property
     def n_atoms(self) -> int:
         return len(self.symbols)
 
-    def distance(self, i: int, j: int) -> float:
-        return float(np.linalg.norm(self.coordinates[i] - self.coordinates[j]))
+    def distances(self) -> np.ndarray:
+        """The (n_atoms, n_atoms) matrix of pairwise distances in Angstrom."""
+        delta = self.coordinates[:, None, :] - self.coordinates[None, :, :]
+        return np.sqrt(np.sum(delta * delta, axis=-1))
 
 
 def build_geometry(

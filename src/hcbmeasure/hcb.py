@@ -20,15 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import build_qubit_hamiltonian, check_ordering, spin_orbital_index
+from .encoding import ZERO_TOL, build_qubit_hamiltonian, check_ordering, qubit_table
 from .groups import CommutingGroup
 from .integrals import IntegralTensors, rdm_expectation
 from .rotations import OrbitalRotation, rotate_array, rotate_integrals
 from .simulator import Statevector, spin_blocks, spin_rdms
 
-# Off-diagonal paired-layer strings at or below this magnitude are float
-# residues of terms the tensor's index symmetry cancels exactly.
-CANCELLATION_TOL = 1e-10
 # Largest |cumulative + residual - <H>| (Ha) run_protocol accepts at a step.
 TELESCOPING_TOL = 1e-8
 
@@ -82,24 +79,19 @@ def hcb_to_groups(
     commuting under either qubit ordering; every group is certified
     before it is returned.
 
-    Off-diagonal strings up to CANCELLATION_TOL are dropped: the paired
+    Off-diagonal strings up to encoding.ZERO_TOL are dropped: the paired
     structure cancels them identically through the two-body tensor's
-    index symmetry, and floating arithmetic leaves residues of order
-    1e-16.  A larger coefficient that fits neither family signals a real
+    index symmetry, and floating arithmetic leaves residues below
+    1e-17.  A larger coefficient that fits neither family signals a real
     encoding defect and raises.
     """
-    check_ordering(ordering)
     op = build_qubit_hamiltonian(layer, ordering, 0.0)
-    n = layer.n_orbitals
-    pair_masks = np.array([
-        sum(1 << spin_orbital_index(k, spin, n, ordering) for spin in (0, 1))
-        for k in range(n)
-    ], dtype=np.uint64)
+    pair_masks = (1 << qubit_table(layer.n_orbitals, ordering)).sum(axis=1).astype(np.uint64)
     x, z = op.x[:, None], op.z[:, None]
     untouched = (x & pair_masks) == 0
     y_counts = np.bitwise_count(x & z & pair_masks)  # per string and orbital
     diagonal = op.x == 0
-    kept = ~diagonal & (np.abs(op.coeffs) > CANCELLATION_TOL)
+    kept = ~diagonal & (np.abs(op.coeffs) > ZERO_TOL)
     one_y = kept & np.all(untouched | (y_counts == 1), axis=1)
     paired_y = kept & np.all(untouched | (y_counts % 2 == 0), axis=1)
     misfit = np.flatnonzero(kept & ~one_y & ~paired_y)

@@ -19,7 +19,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .circuits import Circuit
-from .encoding import check_ordering, spin_orbital_index
+from .encoding import check_ordering, qubit_table
 from .groups import CommutingGroup, diagonalized_members, diagonalizing_circuit
 from .paulis import PauliSum
 from .rotations import OrbitalRotation, PairingGraph, givens_factorize
@@ -68,20 +68,18 @@ def _parity(values: np.ndarray, mask: int) -> np.ndarray:
     return np.bitwise_count(values & mask).astype(np.int64) & 1
 
 
-def _annihilated(amps: np.ndarray, removed: np.ndarray, sign_masks: np.ndarray) -> np.ndarray:
-    """Rows a_{modes} psi, one per bitmask in ``removed``, on the states they reach.
+def _spin_counts(states: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N_alpha, N_beta) of each basis state under the layout's qubit table
+    (see encoding.qubit_table)."""
+    up, down = (1 << table).sum(axis=0)
+    return np.bitwise_count(states & up), np.bitwise_count(states & down)
 
-    Row r holds <t| a_b a_a |psi> (or <t| a_a |psi> for a one-bit mask) for
-    a < b the set bits of removed[r], over the basis states t whose popcount
-    is a popcount of psi's support minus the number of bits removed.  Each
-    entry is psi[t | removed] times the Jordan-Wigner parity of t under
-    sign_masks[r]; it is zero where t already holds one of the removed bits.
-    """
-    idx = np.arange(len(amps), dtype=np.int64)
-    counts = np.bitwise_count(idx)
-    k = int(np.bitwise_count(removed[0]))
-    present = np.unique(counts[amps != 0])
-    targets = idx[np.isin(counts, present - k)]
+
+def _annihilated(amps: np.ndarray, targets: np.ndarray, removed: np.ndarray,
+                 sign_masks: np.ndarray) -> np.ndarray:
+    """Rows <t| a_.. |psi> over the basis states t in targets, one per bitmask
+    in removed: psi[t | removed[r]] times the Jordan-Wigner parity of t under
+    sign_masks[r], zero where t already holds one of the removed bits."""
     free = (targets[None, :] & removed[:, None]) == 0
     signs = 1.0 - 2.0 * _parity(targets[None, :], sign_masks[:, None])
     return np.where(free, signs * amps[targets[None, :] | removed[:, None]], 0.0)
@@ -94,38 +92,47 @@ def spin_rdms(
     and the opposite-spin part of the 2-RDM.
 
     D[k,l] = sum_s <a+_ks a_ls>,
-    G[k,l,m,n] = sum_{s1,s2} <a+_{k s1} a+_{l s2} a_{n s2} a_{m s1}> and
-    O[k,l,m,n] = sum_{s != t} <a+_{ks} a+_{lt} a_{nt} a_{ms}>, so
+    G[k,l,m,n] = sum_{s,t} G^st[k,l,m,n] with
+    G^st[k,l,m,n] = <a+_ks a+_lt a_nt a_ms> = <a_lt a_ks psi, a_nt a_ms psi> and
+    O = G^updown + G^downup, so
     <H> = e_nuc + sum h*D + 1/2 sum g*G in the IntegralTensors convention
-    (see integrals.rdm_expectation).  The spin-orbital 2-RDM comes from one
-    Gram matrix of the vectors a_b a_a psi over pairs a < b, expanded by
-    antisymmetry.  No particle number is assumed: the vectors span every
-    popcount of psi's support, so any state is exact.  The traces are
-    checked against <N> and <N(N-1)> before returning.
+    (see integrals.rdm_expectation).  D is the sum over s of the Gram
+    matrices of the vectors a_ks psi, and each G^st one Gram matrix of the
+    n^2 vectors a_lt a_ks psi, both taken over the basis states of the
+    (N_alpha, N_beta) blocks those vectors reach from the blocks psi holds.
+    No block is assumed, so a state spanning several is exact too.  The
+    traces are checked against <N> and <N(N-1)> before returning.
     """
-    check_ordering(ordering)
     n_qubits = state.n_qubits
     if n_qubits % 2:
         raise ValueError(f"state has {n_qubits} qubits, expected two per orbital")
     n = n_qubits // 2
+    table = qubit_table(n, ordering)
+    bits = np.int64(1) << table
     amps = state.amplitudes
-    bits = np.int64(1) << np.arange(n_qubits, dtype=np.int64)
-    singles = _annihilated(amps, bits, bits - 1)
-    one = np.conj(singles) @ singles.T  # <a+_p a_q>
-    a, b = np.triu_indices(n_qubits, 1)
-    pairs = _annihilated(amps, bits[a] | bits[b], (bits[a] - 1) ^ (bits[b] - 1))
-    block = np.conj(pairs) @ pairs.T  # <a+_{a_i} a+_{b_i} a_{b_j} a_{a_j}>
-    two = np.zeros((n_qubits,) * 4, dtype=complex)
-    ai, bi = a[:, None], b[:, None]
-    two[ai, bi, a, b] = block
-    two[bi, ai, a, b] = -block
-    two[ai, bi, b, a] = -block
-    two[bi, ai, b, a] = block
-    so = np.array([[spin_orbital_index(k, s, n, ordering) for s in (0, 1)]
-                   for k in range(n)])
-    one_rdm = sum(one[np.ix_(so[:, s], so[:, s])] for s in (0, 1))
-    blocks = {(s1, s2): two[np.ix_(so[:, s1], so[:, s2], so[:, s1], so[:, s2])]
-              for s1 in (0, 1) for s2 in (0, 1)}
+    idx = np.arange(len(amps), dtype=np.int64)
+    n_alpha, n_beta = _spin_counts(idx, table)
+    held = np.zeros((n + 3, n + 3), dtype=bool)  # padded for up to two removals
+    nonzero = amps != 0
+    held[n_alpha[nonzero], n_beta[nonzero]] = True
+
+    def reached(*spins: int) -> np.ndarray:
+        """The basis states of the blocks left after removing one electron per spin."""
+        return idx[held[n_alpha + spins.count(0), n_beta + spins.count(1)]]
+
+    one_rdm = 0
+    for s in (0, 1):
+        rows = _annihilated(amps, reached(s), bits[:, s], bits[:, s] - 1)
+        one_rdm = one_rdm + np.conj(rows) @ rows.T
+    blocks = {}
+    for s in (0, 1):
+        for t in (0, 1):
+            # row (k, l) is a_lt a_ks psi: a_ks acts first, so the row flips sign
+            # when lt's qubit sits below ks's and vanishes when they are one qubit
+            p, q = bits[:, s, None], bits[None, :, t]
+            rows = _annihilated(amps, reached(s, t), (p | q).ravel(), ((p - 1) ^ (q - 1)).ravel())
+            rows *= np.sign(q - p).reshape(-1, 1)
+            blocks[s, t] = (np.conj(rows) @ rows.T).reshape((n,) * 4)
     two_rdm = sum(blocks.values())
     _check_rdms(state, one_rdm, two_rdm)
     return one_rdm, two_rdm, blocks[0, 1] + blocks[1, 0]
@@ -134,14 +141,9 @@ def spin_rdms(
 def spin_blocks(state: Statevector, ordering: str = "interleaved") -> list[tuple[int, int]]:
     """The (N_alpha, N_beta) blocks of the layout that hold the state's
     nonzero amplitudes, ascending."""
-    n = state.n_qubits // 2
-    support = np.flatnonzero(state.amplitudes)
-    n_up = np.bitwise_count(support & _up_mask(n, ordering))
-    return sorted(set(zip(n_up.tolist(), (np.bitwise_count(support) - n_up).tolist())))
-
-
-def _up_mask(n_orbitals: int, ordering: str) -> int:
-    return sum(1 << spin_orbital_index(k, 0, n_orbitals, ordering) for k in range(n_orbitals))
+    n_alpha, n_beta = _spin_counts(np.flatnonzero(state.amplitudes),
+                                   qubit_table(state.n_qubits // 2, ordering))
+    return sorted(set(zip(n_alpha.tolist(), n_beta.tolist())))
 
 
 def _check_rdms(state: Statevector, one_rdm: np.ndarray, two_rdm: np.ndarray) -> None:
@@ -248,16 +250,10 @@ def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
 # orbital rotations as circuits
 
 
-def _spin_pair(orbital: int, n_orbitals: int, ordering: str) -> tuple[int, int]:
-    """The (spin-up, spin-down) qubits of a spatial orbital in the layout."""
-    return (spin_orbital_index(orbital, 0, n_orbitals, ordering),
-            spin_orbital_index(orbital, 1, n_orbitals, ordering))
-
-
-def _add_orbital_rotation(circuit: Circuit, p: int, q: int, theta: float, ordering: str) -> None:
-    """exp[theta/2 sum_s (a+_ps a_qs - h.c.)]: one GIVENS per spin, up first."""
-    n = circuit.n_qubits // 2
-    for i, j in zip(_spin_pair(p, n, ordering), _spin_pair(q, n, ordering)):
+def _add_orbital_rotation(circuit: Circuit, table: list, p: int, q: int, theta: float) -> None:
+    """exp[theta/2 sum_s (a+_ps a_qs - h.c.)]: one GIVENS per spin, up first;
+    table is the layout's qubit_table as nested lists."""
+    for i, j in zip(table[p], table[q]):
         circuit.add("GIVENS", i, j, angle=theta)
 
 
@@ -265,7 +261,7 @@ def rotation_circuit(
     rotation: OrbitalRotation, n_orbitals: int, ordering: str = "interleaved"
 ) -> Circuit:
     """Circuit whose action on states matches rotating the integral tensors."""
-    check_ordering(ordering)
+    table = qubit_table(n_orbitals, ordering).tolist()
     if rotation.n_orbitals != n_orbitals:
         raise ValueError("rotation size does not match orbital count")
     circuit = Circuit(2 * n_orbitals)
@@ -274,10 +270,10 @@ def rotation_circuit(
         factors, signs = givens_factorize(rotation.matrix)
         for k, s in enumerate(signs):
             if s < 0:
-                for qubit in _spin_pair(k, n_orbitals, ordering):
+                for qubit in table[k]:
                     circuit.add("Z", qubit)
     for p, q, theta in factors:
-        _add_orbital_rotation(circuit, p, q, theta, ordering)
+        _add_orbital_rotation(circuit, table, p, q, theta)
     return circuit
 
 
@@ -331,31 +327,29 @@ class PairAnsatz:
             raise ValueError(
                 f"expected {self.n_parameters} parameters, got shape {params.shape}"
             )
-        n, ordering = self.n_orbitals, self.ordering
-        circuit = Circuit(2 * n)
+        table = qubit_table(self.n_orbitals, self.ordering).tolist()
+        circuit = Circuit(2 * self.n_orbitals)
         first = self.graphs[0]
         for (p, q), angle in zip(first.edges, params[: len(first.edges)]):
-            for qubit in _spin_pair(p, n, ordering):
+            for qubit in table[p]:
                 circuit.add("X", qubit)
-            circuit.add("PAIR_HOP", *_spin_pair(p, n, ordering), *_spin_pair(q, n, ordering),
-                        angle=angle)
+            circuit.add("PAIR_HOP", *table[p], *table[q], angle=angle)
         k = len(first.edges)
         theta1 = params[k]
         k += 1
         for p, q in reversed(first.edges):
-            _add_orbital_rotation(circuit, p, q, -theta1, ordering)
+            _add_orbital_rotation(circuit, table, p, q, -theta1)
         for graph in self.graphs[1:]:
             theta, phi = params[k], params[k + 1]
             k += 2
             for p, q in graph.edges:
-                _add_orbital_rotation(circuit, p, q, theta, ordering)
+                _add_orbital_rotation(circuit, table, p, q, theta)
             for p, q in graph.edges:
-                circuit.add("PAIR_HOP", *_spin_pair(p, n, ordering),
-                            *_spin_pair(q, n, ordering), angle=phi)
+                circuit.add("PAIR_HOP", *table[p], *table[q], angle=phi)
             for p, q in reversed(graph.edges):
-                _add_orbital_rotation(circuit, p, q, -theta, ordering)
+                _add_orbital_rotation(circuit, table, p, q, -theta)
         for (p, q), angle in zip(self.extra_pairs, params[k:]):
-            _add_orbital_rotation(circuit, p, q, angle, ordering)
+            _add_orbital_rotation(circuit, table, p, q, angle)
         return circuit
 
     def prepare(self, params: np.ndarray) -> Statevector:
@@ -545,7 +539,6 @@ def expectation(state: Statevector, op: PauliSum) -> float:
 def _spin_block(op: PauliSum, n_electrons: int, ordering: str) -> tuple[np.ndarray, int]:
     """(block states ascending, Nα): the basis states with n_electrons set
     bits, Nα = ceil(N/2) of them on the layout's spin-up qubits."""
-    check_ordering(ordering)
     n_qubits = op.n_qubits
     if n_qubits % 2:
         raise ValueError(f"operator acts on {n_qubits} qubits, expected two per orbital")
@@ -553,9 +546,8 @@ def _spin_block(op: PauliSum, n_electrons: int, ordering: str) -> tuple[np.ndarr
         raise ValueError(f"n_electrons {n_electrons} out of range for {n_qubits} qubits")
     n_up = (n_electrons + 1) // 2
     idx = np.arange(1 << n_qubits, dtype=np.int64)
-    keep = ((np.bitwise_count(idx) == n_electrons)
-            & (np.bitwise_count(idx & _up_mask(n_qubits // 2, ordering)) == n_up))
-    return idx[keep], n_up
+    n_alpha, n_beta = _spin_counts(idx, qubit_table(n_qubits // 2, ordering))
+    return idx[(n_alpha == n_up) & (n_beta == n_electrons - n_up)], n_up
 
 
 def _row_sums(rows: np.ndarray) -> np.ndarray:
@@ -780,6 +772,14 @@ class SampledEnergies:
         return float(abs(np.mean(self.energies) - self.exact))
 
 
+def exact_plan_energy(plan: list[tuple[CommutingGroup, Statevector, float]]) -> float:
+    """The sum of every (group, state, shots) entry's exact <group>, in plan order."""
+    exact = 0.0
+    for group, state, _ in plan:
+        exact += expectation(state, group.op)
+    return exact
+
+
 def finite_sample_experiment(
     plan: list[tuple[CommutingGroup, Statevector, int]],
     repetitions: int,
@@ -787,7 +787,7 @@ def finite_sample_experiment(
 ) -> SampledEnergies:
     """Sample every (group, state, shots) entry `repetitions` times.
 
-    The exact reference is the sum of exact group expectations, so the
+    The exact reference is exact_plan_energy(plan), so the
     reported errors isolate sampling noise for the measured operator set.
     Each entry is prepared once: its commutation is certified, its
     diagonalizing circuit built and applied, and the outcome CDF formed.
@@ -799,11 +799,9 @@ def finite_sample_experiment(
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     rng = np.random.default_rng(seed)
-    prepared = []
-    exact = 0.0
-    for group, state, shots in plan:
-        exact += expectation(state, group.op)
-        prepared.append((_PreparedGroup.build(state, group), max(1, int(np.ceil(shots)))))
+    exact = exact_plan_energy(plan)
+    prepared = [(_PreparedGroup.build(state, group), max(1, int(np.ceil(shots))))
+                for group, state, shots in plan]
     energies = np.empty(repetitions)
     for rep in range(repetitions):
         total = 0.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from hcbmeasure.encoding import build_qubit_hamiltonian
+from hcbmeasure.encoding import build_qubit_hamiltonian, spin_orbital_index
 from hcbmeasure.geometry import build_geometry
 from hcbmeasure.integrals import IntegralTensors, minimal_basis_integrals
 from hcbmeasure.paulis import PauliSum
@@ -115,6 +115,44 @@ def block_operator_oracle(op, n_electrons: int, ordering: str):
     return block, mat
 
 
+def _annihilated_by_popcount(amps, removed, sign_masks):
+    """Rows a_{modes} psi, one per bitmask in removed, over every basis state
+    whose popcount is one of psi's support minus the bits removed."""
+    idx = np.arange(len(amps), dtype=np.int64)
+    counts = np.bitwise_count(idx)
+    k = int(np.bitwise_count(removed[0]))
+    targets = idx[np.isin(counts, np.unique(counts[amps != 0]) - k)]
+    free = (targets[None, :] & removed[:, None]) == 0
+    signs = 1.0 - 2.0 * _parity(targets[None, :], sign_masks[:, None])
+    return np.where(free, signs * amps[targets[None, :] | removed[:, None]], 0.0)
+
+
+def spin_orbital_rdms(state, ordering):
+    """Oracle for simulator.spin_rdms: (D, G, O) cut from the full spin-orbital
+    1- and 2-RDMs, the latter one Gram matrix of the vectors a_b a_a psi over
+    qubit pairs a < b, expanded to (2n)^4 by antisymmetry."""
+    n_qubits = state.n_qubits
+    n = n_qubits // 2
+    amps = state.amplitudes
+    bits = np.int64(1) << np.arange(n_qubits, dtype=np.int64)
+    singles = _annihilated_by_popcount(amps, bits, bits - 1)
+    one = np.conj(singles) @ singles.T  # <a+_p a_q>
+    a, b = np.triu_indices(n_qubits, 1)
+    pairs = _annihilated_by_popcount(amps, bits[a] | bits[b], (bits[a] - 1) ^ (bits[b] - 1))
+    block = np.conj(pairs) @ pairs.T  # <a+_{a_i} a+_{b_i} a_{b_j} a_{a_j}>
+    two = np.zeros((n_qubits,) * 4, dtype=complex)
+    ai, bi = a[:, None], b[:, None]
+    two[ai, bi, a, b] = block
+    two[bi, ai, a, b] = -block
+    two[ai, bi, b, a] = -block
+    two[bi, ai, b, a] = block
+    so = np.array([[spin_orbital_index(k, s, n, ordering) for s in (0, 1)] for k in range(n)])
+    one_rdm = sum(one[np.ix_(so[:, s], so[:, s])] for s in (0, 1))
+    blocks = {(s1, s2): two[np.ix_(so[:, s1], so[:, s2], so[:, s1], so[:, s2])]
+              for s1 in (0, 1) for s2 in (0, 1)}
+    return one_rdm, sum(blocks.values()), blocks[0, 1] + blocks[1, 0]
+
+
 def random_tensors(n, seed, e_nuc=0.0):
     """Random real tensors with the full 8-fold two-body symmetry."""
     rng = np.random.default_rng(seed)
@@ -208,6 +246,4 @@ def h6_ground(h6_operator):
 
 @pytest.fixture(scope="session")
 def h6_distances(h6_geometry):
-    coords = np.asarray(h6_geometry.coordinates)
-    delta = coords[:, None, :] - coords[None, :, :]
-    return np.sqrt(np.sum(delta * delta, axis=-1))
+    return h6_geometry.distances()

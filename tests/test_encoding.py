@@ -17,6 +17,7 @@ from hcbmeasure.encoding import (
     check_ordering,
     jw_encode,
     ladder_terms,
+    qubit_table,
     spin_orbital_index,
 )
 from hcbmeasure.fcidump import read_fcidump, write_fcidump
@@ -74,6 +75,19 @@ def test_spin_orbital_index():
     assert [spin_orbital_index(p, 1, n, "interleaved") for p in range(n)] == [1, 3, 5]
     assert [spin_orbital_index(p, 0, n, "reordered") for p in range(n)] == [0, 1, 2]
     assert [spin_orbital_index(p, 1, n, "reordered") for p in range(n)] == [3, 4, 5]
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+def test_qubit_table_is_the_spin_orbital_index(ordering):
+    for n in range(1, 9):
+        table = qubit_table(n, ordering)
+        assert table.shape == (n, 2)
+        assert table.tolist() == [[spin_orbital_index(k, s, n, ordering) for s in (0, 1)]
+                                  for k in range(n)]
+        assert sorted(table.ravel().tolist()) == list(range(2 * n))
+        for orbital, spin in ((-1, 0), (n, 0), (0, 2)):
+            with pytest.raises(ValueError, match="out of range|spin must be"):
+                spin_orbital_index(orbital, spin, n, ordering)
 
 
 def test_ladder_terms_match_dense():

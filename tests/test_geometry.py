@@ -23,12 +23,11 @@ def test_ring_neighbor_spacing():
 
 def test_square_shape():
     geom = build_geometry(4, 1.0, "square")
-    coords = np.asarray(geom.coordinates)
+    distances = geom.distances()
+    assert np.array_equal(distances, distances.T)
+    assert not np.any(np.diag(distances))
     # 2x2 grid: four unit nearest-neighbor distances, diagonal sqrt(2)
-    dists = sorted(
-        np.linalg.norm(coords[i] - coords[j])
-        for i in range(4) for j in range(i + 1, 4)
-    )
+    dists = sorted(distances[np.triu_indices(4, 1)])
     assert np.allclose(dists, [1, 1, 1, 1, np.sqrt(2), np.sqrt(2)])
 
 
@@ -78,3 +77,9 @@ def test_from_xyz_with_header_and_blank_lines():
 def test_geometry_shape_validation():
     with pytest.raises(ValueError):
         Geometry(("H", "H"), np.zeros((3, 3)))
+
+
+def test_geometry_names_the_first_pair_of_atoms_too_close():
+    coords = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.05, 0.0, 0.0], [1.0, 0.08, 0.0]])
+    with pytest.raises(ValueError, match=r"atoms 1 and 2 are 0\.050 A apart \(<= 0\.1 A\)"):
+        Geometry(("H",) * 4, coords)

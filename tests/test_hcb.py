@@ -2,12 +2,19 @@
 
 import numpy as np
 import pytest
-from conftest import group_union, membership_digest, random_tensors, sum_gap
+from conftest import (
+    group_union,
+    membership_digest,
+    random_tensors,
+    spin_orbital_rdms,
+    sum_gap,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hcbmeasure.hcb as hcb
-from hcbmeasure.encoding import ORDERINGS, build_qubit_hamiltonian, spin_orbital_index
+from hcbmeasure.encoding import ORDERINGS, ZERO_TOL, build_qubit_hamiltonian, qubit_table
+from hcbmeasure.geometry import build_geometry
 from hcbmeasure.hcb import (
     _layer_masks,
     extract_hcb,
@@ -15,7 +22,7 @@ from hcbmeasure.hcb import (
     records_to_csv,
     run_protocol,
 )
-from hcbmeasure.integrals import IntegralTensors, rdm_expectation
+from hcbmeasure.integrals import IntegralTensors, minimal_basis_integrals, rdm_expectation
 from hcbmeasure.paulis import anticommutation_matrix
 from hcbmeasure.rotations import (
     distance_ranked_matchings,
@@ -46,9 +53,8 @@ def _random_block_state(n, n_alpha, n_beta, seed, ordering="interleaved"):
     """A random complex state on the (n_alpha, n_beta) block of the layout."""
     rng = np.random.default_rng(seed)
     idx = np.arange(4 ** n)
-    up = sum(1 << spin_orbital_index(k, 0, n, ordering) for k in range(n))
-    n_up = np.bitwise_count(idx & up)
-    inside = (n_up == n_alpha) & (np.bitwise_count(idx) - n_up == n_beta)
+    up, down = (1 << qubit_table(n, ordering)).sum(axis=0)
+    inside = (np.bitwise_count(idx & up) == n_alpha) & (np.bitwise_count(idx & down) == n_beta)
     v = np.where(inside, rng.normal(size=4 ** n) + 1j * rng.normal(size=4 ** n), 0.0)
     return Statevector(2 * n, v / np.linalg.norm(v))
 
@@ -184,6 +190,20 @@ def test_groups_partition_paired_operator_both_orderings(h4_tensors):
         op = build_qubit_hamiltonian(layer, ordering, 0.0)
         groups = hcb_to_groups(layer, ordering)
         assert sum_gap(op, group_union(groups)) < 1e-10
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+@pytest.mark.parametrize("n_atoms", [4, 6, 8])
+def test_groups_hold_every_layer_string_above_zero_tol(n_atoms, ordering):
+    """Under the top pairing graph of the H4-H8 lines the three groups hold
+    each off-diagonal layer string above ZERO_TOL, and every diagonal one,
+    once and with its encoded coefficient; nothing else."""
+    geometry = build_geometry(n_atoms, 1.5, "line")
+    rotation = graph_rotation(distance_ranked_matchings(geometry.distances(), 1)[0])
+    layer = extract_hcb(rotate_integrals(minimal_basis_integrals(geometry), rotation))[0]
+    encoded = build_qubit_hamiltonian(layer, ordering, 0.0)
+    want = {s: c for s, c in encoded.terms() if s.x_mask == 0 or abs(c) > ZERO_TOL}
+    assert dict(group_union(hcb_to_groups(layer, ordering)).terms()) == want
 
 
 def test_full_tensors_do_not_fit_the_paired_groups(h4_tensors):
@@ -381,6 +401,22 @@ def test_rdm_energy_is_rotation_invariant(n, seed, ordering):
     after = rdm_expectation(rotate_integrals(tensors, rotation),
                             *spin_rdms(rotated, ordering)[:2])
     assert abs(after - before) < 1e-10
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
+       ordering=st.sampled_from(ORDERINGS), data=st.data())
+def test_spin_rdms_match_the_spin_orbital_oracle(n, seed, ordering, data):
+    """Random states in one (N_alpha, N_beta) block or spread over several."""
+    blocks = data.draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)),
+                                min_size=1, max_size=3, unique=True))
+    weights = np.random.default_rng(seed).normal(size=len(blocks))
+    amps = sum(w * _random_block_state(n, a, b, seed + i, ordering).amplitudes
+               for i, (w, (a, b)) in enumerate(zip(weights, blocks)))
+    state = Statevector(2 * n, amps / np.linalg.norm(amps))
+    for got, want in zip(spin_rdms(state, ordering), spin_orbital_rdms(state, ordering)):
+        assert got.shape == (n,) * got.ndim
+        assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_rdm_checks_reject_corrupted_pairs(h4_ground):
