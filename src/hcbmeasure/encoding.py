@@ -53,32 +53,19 @@ def spin_orbital_index(orbital: int, spin: int, n_orbitals: int, ordering: str) 
     return int(qubit_table(n_orbitals, ordering)[orbital, spin])
 
 
-def _check_spin_orbital(n_qubits: int, index: int) -> None:
-    if not 0 <= index < n_qubits:
-        raise ValueError(f"spin orbital {index} out of range for {n_qubits} qubits")
-
-
-def ladder_terms(n_qubits: int, index: int, creation: bool) -> list[tuple[PauliString, complex]]:
-    """Jordan-Wigner image of a single ladder operator as (string, coeff) pairs."""
-    _check_spin_orbital(n_qubits, index)
-    prefix = (1 << index) - 1
-    bit = 1 << index
-    x_part = PauliString(n_qubits, bit, prefix)
-    y_part = PauliString(n_qubits, bit, prefix | bit)
-    y_coeff = -0.5j if creation else 0.5j
-    return [(x_part, 0.5 + 0.0j), (y_part, y_coeff)]
-
-
 def _product_images(
     index: np.ndarray, creation: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Exact JW images of T ordered ladder products of one length k.
 
-    index and creation are (T, k).  Every product expands into 2^k paths,
-    one per choice of each ladder's X or Y part (see ladder_terms); a
-    path's string is the XOR of its parts' masks, and its value is 2^-k
-    times a power of i carried over the parts by the paulis.multiply
-    phase rule.  Paths landing on the same string merge within their
+    index and creation are (T, k).  A ladder on qubit j is Z_0..Z_{j-1}
+    (X_j + iY_j)/2 as an annihilator and (X_j - iY_j)/2 as a creator, so
+    every product expands into 2^k paths, one per choice of each ladder's
+    X or Y part.  A path's string is the XOR of its parts' masks, and its
+    value is 2^-k times a power of i: with each string written
+    i^|x&z| X^x Z^z, the product of (x1, z1) and (x2, z2) carries
+    i^(|x1&z1| + |x2&z2| - |x&z| + 2|z1&x2|), x = x1^x2 and z = z1^z2.
+    Paths landing on the same string merge within their
     product, exactly, since every value is a dyadic times a power of i.
     Returns (row, x, z, re, im): the nonzero strings of every product with
     row its product and value re + i*im.
@@ -158,7 +145,7 @@ def _encode_batches(n_qubits: int, batches: Iterable[_Batch]) -> PauliSum:
     for positions, coeffs, index, creation in batches:
         out_of_range = index[(index < 0) | (index >= n_qubits)]
         if len(out_of_range):
-            _check_spin_orbital(n_qubits, int(out_of_range[0]))
+            raise ValueError(f"spin orbital {out_of_range[0]} out of range for {n_qubits} qubits")
         row, x, z, re, im = _product_images(index.astype(np.uint64), creation)
         c = coeffs[row]
         # the textbook complex product, rounded as Python's and NumPy's are

@@ -1,8 +1,10 @@
 """Minimal-basis molecular integrals for hydrogen clusters.
 
-Works with s-type contracted Gaussians only (STO-3G hydrogen), which keeps
-every integral in closed form plus the zeroth Boys function.  The two-body
-tensor is stored in the convention where the electronic Hamiltonian reads
+Works with s-type contracted Gaussians only (STO-3G hydrogen), so every
+AO integral is a closed form over primitive pairs plus the zeroth Boys
+function (Szabo & Ostlund, Modern Quantum Chemistry, App. A), evaluated
+as arrays over atom pairs and primitive pairs.  The two-body tensor is
+stored in the convention where the electronic Hamiltonian reads
 
     H = sum_{kl} h[k,l] a+_k a_l
       + 1/2 sum_{klmn} g[k,l,m,n] a+_k a+_l a_n a_m   (spin summed)
@@ -13,7 +15,7 @@ chemist-notation (pq|rs) arrays is g[k,l,m,n] = eri[k,m,l,n].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -24,7 +26,9 @@ BOHR_PER_ANGSTROM = 1.0 / 0.529177210903
 STO3G_H_EXPONENTS = np.array([3.42525091, 0.62391373, 0.16885540])
 STO3G_H_COEFFS = np.array([0.15432897, 0.53532814, 0.44463454])
 
-SYMMETRY_TOL = 1e-12
+LOWDIN_TOL = 1e-8  # smallest overlap eigenvalue lowdin_matrix accepts
+SCF_MAX_ITER = 500
+SCF_CONV = 1e-10  # energy change (Ha) at which the SCF stops
 
 
 @dataclass
@@ -104,109 +108,67 @@ def internal_to_chemist(g: np.ndarray) -> np.ndarray:
 def boys_f0(t: np.ndarray) -> np.ndarray:
     """Zeroth Boys function F0(t) = (1/2) sqrt(pi/t) erf(sqrt(t))."""
     t = np.asarray(t, dtype=float)
-    out = np.ones_like(t)
+    out = np.array(1.0 - t / 3.0)  # the series, kept where t <= 1e-12
     big = t > 1e-12
-    tb = t[big]
-    out[big] = 0.5 * np.sqrt(np.pi / tb) * erf(np.sqrt(tb))
-    small = ~big
-    out[small] = 1.0 - t[small] / 3.0
+    out[big] = 0.5 * np.sqrt(np.pi / t[big]) * erf(np.sqrt(t[big]))
     return out
 
 
-class _Shell:
-    """Contracted s-shell: primitive exponents, contraction weights, center (Bohr)."""
+def _ao_integrals(coords: np.ndarray, charges: np.ndarray):
+    """AO overlap, kinetic, nuclear-attraction and (ij|kl) arrays.
 
-    def __init__(self, exponents: np.ndarray, coeffs: np.ndarray, center: np.ndarray):
-        self.exponents = exponents
-        self.center = center
-        prim_norm = (2.0 * exponents / np.pi) ** 0.75
-        weights = coeffs * prim_norm
-        # renormalize the contracted function to unit self-overlap
-        p = exponents[:, None] + exponents[None, :]
-        self_overlap = np.sum(
-            weights[:, None] * weights[None, :] * (np.pi / p) ** 1.5
-        )
-        self.weights = weights / np.sqrt(self_overlap)
+    Every atom carries the one contraction, so the 9 primitive pairs of an
+    atom pair (first primitive major) share p, mu and cc; the prefactors k
+    and product centres are (n, n, 9) and (n, n, 9, 3) arrays.  S, T and V
+    are taken from the i <= j triangle and mirrored.  Each (ij|kl) orbit of
+    the 8-fold symmetry is evaluated once, at its first member with i >= j
+    and k >= l in row-major order, and copied through one np.unique index.
+    Three rounding choices keep the arrays bit-identical to a loop over
+    integrals: r^2 is one np.dot per pair (einsum moves bits on rings and
+    random clusters), the orbit member is that loop's (another member sums
+    its primitives in another order), and V adds one nucleus at a time.
+    """
+    n = len(coords)
+    # primitive pairs, first primitive major
+    pa, pb = np.repeat(STO3G_H_EXPONENTS, 3), np.tile(STO3G_H_EXPONENTS, 3)
+    p, mu = pa + pb, pa * pb / (pa + pb)
+    # the one contraction: primitive norms folded in, unit self-overlap
+    w = STO3G_H_COEFFS * (2.0 * STO3G_H_EXPONENTS / np.pi) ** 0.75
+    w = w / np.sqrt(np.sum(np.outer(w, w).ravel() * (np.pi / p) ** 1.5))
+    cc = np.outer(w, w).ravel()
+    delta = coords[:, None, :] - coords[None, :, :]
+    r2 = np.array([[np.dot(d, d) for d in row] for row in delta])[..., None]
+    k = np.exp(-mu * r2)  # (n, n, 9)
+    centers = (pa[:, None] * coords[:, None, None]
+               + pb[:, None] * coords[None, :, None]) / p[:, None]  # (n, n, 9, 3)
 
-
-def _pair_tables(shells: list[_Shell]):
-    """Per AO pair: combined exponents, Gaussian product centers, prefactors."""
-    n = len(shells)
-    pairs = {}
-    for i in range(n):
-        for j in range(n):
-            a = shells[i].exponents[:, None]
-            b = shells[j].exponents[None, :]
-            ra, rb = shells[i].center, shells[j].center
-            p = (a + b).ravel()
-            mu = (a * b / (a + b)).ravel()
-            r2 = float(np.dot(ra - rb, ra - rb))
-            k = np.exp(-mu * r2)
-            centers = (
-                (a[..., None] * ra + b[..., None] * rb) / (a + b)[..., None]
-            ).reshape(-1, 3)
-            cc = (shells[i].weights[:, None] * shells[j].weights[None, :]).ravel()
-            pairs[(i, j)] = (p, k, centers, cc, mu, r2)
-    return pairs
-
-
-def _ao_integrals(geom_coords_bohr: np.ndarray, charges: np.ndarray):
-    shells = [
-        _Shell(STO3G_H_EXPONENTS, STO3G_H_COEFFS, c) for c in geom_coords_bohr
-    ]
-    n = len(shells)
-    pairs = _pair_tables(shells)
-
-    S = np.zeros((n, n))
-    T = np.zeros((n, n))
+    base = cc * k * (np.pi / p) ** 1.5
+    S = np.sum(base, axis=-1)
+    T = np.sum(base * mu * (3.0 - 2.0 * mu * r2), axis=-1)
     V = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            p, k, centers, cc, mu, r2 = pairs[(i, j)]
-            base = cc * k * (np.pi / p) ** 1.5
-            S[i, j] = np.sum(base)
-            T[i, j] = np.sum(base * mu * (3.0 - 2.0 * mu * r2))
-            v = 0.0
-            for c_pos, z in zip(geom_coords_bohr, charges):
-                pc2 = np.sum((centers - c_pos) ** 2, axis=1)
-                v -= z * np.sum(cc * k * (2.0 * np.pi / p) * boys_f0(p * pc2))
-            V[i, j] = v
-            S[j, i], T[j, i], V[j, i] = S[i, j], T[i, j], V[i, j]
+    for c_pos, z in zip(coords, charges):
+        pc2 = np.sum((centers - c_pos) ** 2, axis=-1)
+        V -= z * np.sum(cc * k * (2.0 * np.pi / p) * boys_f0(p * pc2), axis=-1)
+    upper = np.triu(np.ones((n, n), dtype=bool))
+    S, T, V = (np.where(upper, m, m.T) for m in (S, T, V))
 
-    eri = np.zeros((n, n, n, n))
-    seen = np.zeros((n, n, n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1):
-            for k_ in range(n):
-                for l in range(k_ + 1):
-                    if seen[i, j, k_, l]:
-                        continue
-                    p1, k1, c1, cc1, _, _ = pairs[(i, j)]
-                    p2, k2, c2, cc2, _, _ = pairs[(k_, l)]
-                    pp = p1[:, None]
-                    qq = p2[None, :]
-                    d2 = np.sum(
-                        (c1[:, None, :] - c2[None, :, :]) ** 2, axis=2
-                    )
-                    pref = (
-                        2.0
-                        * np.pi**2.5
-                        / (pp * qq * np.sqrt(pp + qq))
-                        * k1[:, None]
-                        * k2[None, :]
-                    )
-                    val = np.sum(
-                        cc1[:, None]
-                        * cc2[None, :]
-                        * pref
-                        * boys_f0(pp * qq / (pp + qq) * d2)
-                    )
-                    for a, b in ((i, j), (j, i)):
-                        for c, d in ((k_, l), (l, k_)):
-                            eri[a, b, c, d] = val
-                            eri[c, d, a, b] = val
-                            seen[a, b, c, d] = seen[c, d, a, b] = True
-    return S, T, V, eri
+    # a pair (i >= j) is coded i*n + j, its row in the flattened pair arrays;
+    # an orbit is its (lower, higher) pair, and the inverse is reshaped at
+    # the end, whichever shape this NumPy's np.unique gives it
+    i, j = np.indices((n, n))
+    pair = (np.maximum(i, j) * n + np.minimum(i, j)).ravel()
+    orbit = np.minimum.outer(pair, pair) * n * n + np.maximum.outer(pair, pair)
+    orbits, inverse = np.unique(orbit, return_inverse=True)
+    first, second = np.divmod(orbits, n * n)
+    k = k.reshape(n * n, 9)
+    centers = centers.reshape(n * n, 9, 3)
+    pp, qq = p[:, None], p[None, :]
+    d2 = np.sum((centers[first][:, :, None] - centers[second][:, None]) ** 2, axis=-1)
+    pref = (2.0 * np.pi**2.5 / (pp * qq * np.sqrt(pp + qq))
+            * k[first][:, :, None] * k[second][:, None, :])
+    terms = cc[:, None] * cc[None, :] * pref * boys_f0(pp * qq / (pp + qq) * d2)
+    values = np.sum(terms.reshape(len(orbits), 81), axis=1)
+    return S, T, V, values[inverse].reshape((n,) * 4)
 
 
 def nuclear_repulsion(coords_bohr: np.ndarray, charges: np.ndarray) -> float:
@@ -220,10 +182,10 @@ def nuclear_repulsion(coords_bohr: np.ndarray, charges: np.ndarray) -> float:
     return e
 
 
-def lowdin_matrix(S: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def lowdin_matrix(S: np.ndarray) -> np.ndarray:
     """Symmetric orthogonalizer S^(-1/2); rejects near-singular overlaps."""
     vals, vecs = np.linalg.eigh(S)
-    if np.min(vals) < tol:
+    if np.min(vals) < LOWDIN_TOL:
         raise ValueError(
             f"overlap matrix is near-singular (min eigenvalue {np.min(vals):.3e}); "
             "atoms are too close for this basis"
@@ -238,12 +200,7 @@ def _transform(hcore: np.ndarray, eri: np.ndarray, C: np.ndarray):
 
 
 def restricted_hartree_fock(
-    S: np.ndarray,
-    hcore: np.ndarray,
-    eri: np.ndarray,
-    n_electrons: int,
-    max_iter: int = 500,
-    conv: float = 1e-10,
+    S: np.ndarray, hcore: np.ndarray, eri: np.ndarray, n_electrons: int
 ) -> tuple[np.ndarray, float]:
     """Closed-shell SCF; returns (MO coefficients, electronic energy)."""
     if n_electrons % 2 != 0:
@@ -253,7 +210,7 @@ def restricted_hartree_fock(
     fock = hcore.copy()
     energy = 0.0
     density = np.zeros_like(S)
-    for iteration in range(max_iter):
+    for iteration in range(SCF_MAX_ITER):
         f_ortho = X.T @ fock @ X
         _, C_ortho = np.linalg.eigh(f_ortho)
         C = X @ C_ortho
@@ -265,10 +222,10 @@ def restricted_hartree_fock(
         exchange = np.einsum("rs,prqs->pq", density, eri, optimize=True)
         fock = hcore + coulomb - 0.5 * exchange
         new_energy = 0.5 * np.sum(density * (hcore + fock))
-        if iteration > 1 and abs(new_energy - energy) < conv:
+        if iteration > 1 and abs(new_energy - energy) < SCF_CONV:
             return C, float(new_energy)
         energy = new_energy
-    raise ValueError(f"SCF did not converge in {max_iter} iterations")
+    raise ValueError(f"SCF did not converge in {SCF_MAX_ITER} iterations")
 
 
 def minimal_basis_integrals(geom, mode: str = "lowdin") -> IntegralTensors:

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_PHASES = (1.0, 1.0j, -1.0, -1.0j)
-
 _LETTER_TO_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 ANTICOMMUTE_BLOCK = 1 << 18  # mask-pair entries of one anticommutation_matrix block
@@ -102,21 +100,6 @@ def anticommutation_matrix(op: PauliSum) -> np.ndarray:
         symplectic ^= z[rows, None] & x
         out[rows] = np.bitwise_count(symplectic) & 1
     return out
-
-
-def multiply(a: PauliString, b: PauliString) -> tuple[PauliString, complex]:
-    """Product a*b as (string, phase) with phase in {1, i, -1, -i}."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError("Pauli strings act on different qubit counts")
-    x = a.x_mask ^ b.x_mask
-    z = a.z_mask ^ b.z_mask
-    k = (
-        (a.x_mask & a.z_mask).bit_count()
-        + (b.x_mask & b.z_mask).bit_count()
-        - (x & z).bit_count()
-        + 2 * (a.z_mask & b.x_mask).bit_count()
-    )
-    return PauliString(a.n_qubits, x, z), _PHASES[k % 4]
 
 
 class PauliSum:

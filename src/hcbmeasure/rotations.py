@@ -25,6 +25,7 @@ import numpy as np
 from .integrals import IntegralTensors
 
 ORTHOGONALITY_TOL = 1e-10
+GIVENS_TOL = 1e-14  # entries at or below this need no Givens elimination
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,7 @@ def random_orthogonal_rotation(n_orbitals: int, seed: int) -> OrbitalRotation:
     return OrbitalRotation(q, (), label=f"random[{seed}]")
 
 
-def givens_factorize(matrix: np.ndarray, tol: float = 1e-14):
+def givens_factorize(matrix: np.ndarray):
     """Factor an orthogonal matrix as G(f[-1])...G(f[0]) @ diag(signs).
 
     Returns (factors, signs); signs is all ones except possibly -1 in the
@@ -164,7 +165,7 @@ def givens_factorize(matrix: np.ndarray, tol: float = 1e-14):
     eliminations = []
     for col in range(n - 1):
         for row in range(col + 1, n):
-            if abs(a[row, col]) <= tol:
+            if abs(a[row, col]) <= GIVENS_TOL:
                 continue
             theta = 2.0 * np.arctan2(a[row, col], a[col, col])
             c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)

@@ -161,33 +161,38 @@ def _check_rdms(state: Statevector, one_rdm: np.ndarray, two_rdm: np.ndarray) ->
             raise ValueError(f"{name} gap {gap:.3e} exceeds {RDM_TOL:g}")
 
 
-def _apply_excitation(amps: np.ndarray, qubits: tuple[int, ...], angle: float) -> None:
+def _apply_excitation(tensor: np.ndarray, qubits: tuple[int, ...], angle: float) -> None:
     """exp[angle/2 (A - A^dagger)] on the amplitudes, in place.
 
     qubits lists the created qubits c_1..c_k, then the annihilated ones
     a_1..a_k, and A = a+_{c_1}..a+_{c_k} a_{a_k}..a_{a_1} (GIVENS (i, j):
     a+_i a_j; PAIR_HOP (pu, pd, qu, qd): a+_pu a+_pd a_qd a_qu).  A sends
-    each basis state with every a set and every c clear to one partner,
-    with the Jordan-Wigner sign of applying its ladders one at a time;
-    the gate rotates each (partner, state) amplitude pair.
+    each basis state with every a set and every c clear (the view src) to
+    the state with those bits flipped (dst), with the Jordan-Wigner sign of
+    applying its ladders one at a time; the gate rotates each (dst, src)
+    amplitude pair.  That sign is a constant from the touched bits times a
+    -1 for each set untouched bit that lies below an odd number of ladders.
     """
     half = len(qubits) // 2
     created, annihilated = qubits[:half], qubits[half:]
-    c_mask = sum(1 << q for q in created)
-    a_mask = sum(1 << q for q in annihilated)
-    idx = np.arange(len(amps), dtype=np.int64)
-    src = idx[(idx & (a_mask | c_mask)) == a_mask]
-    dst = src ^ (a_mask | c_mask)
-    state = src.copy()
-    total = np.zeros(len(src), dtype=np.int64)
+    src = _bits_view(tensor, *((q, 1) for q in annihilated), *((q, 0) for q in created))
+    dst = _bits_view(tensor, *((q, 0) for q in annihilated), *((q, 1) for q in created))
+    # walk the ladders from the src state with every untouched bit clear,
+    # marking the untouched qubits that lie below an odd number of them
+    n = tensor.ndim
+    bits, sign, odd = sum(1 << q for q in annihilated), 1.0, np.zeros(n, dtype=bool)
     for q in annihilated + created[::-1]:
-        total += np.bitwise_count(state & ((1 << q) - 1)).astype(np.int64)
-        state ^= 1 << q
-    sign = 1.0 - 2.0 * (total & 1)
+        sign *= (-1.0) ** (bits & ((1 << q) - 1)).bit_count()
+        bits ^= 1 << q
+        odd[:q] ^= True
+    odd[list(qubits)] = False
+    signs = np.full((1,) * n, sign)
+    for q in np.flatnonzero(odd):  # bit q lives on the n-1-q th axis
+        signs = signs * np.array([1.0, -1.0]).reshape((2,) + (1,) * q)
     c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
-    at_dst, at_src = amps[dst], amps[src]
-    amps[dst] = c * at_dst + sign * s * at_src
-    amps[src] = c * at_src - sign * s * at_dst
+    new_dst = c * dst + signs * s * src
+    src[...] = c * src - signs * s * dst
+    dst[...] = new_dst
 
 
 def _bits_view(tensor: np.ndarray, *fixed: tuple[int, int]) -> np.ndarray:
@@ -212,9 +217,10 @@ def _swap(a: np.ndarray, b: np.ndarray) -> None:
 def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
     """The state after the circuit's gates; the input state is left unchanged.
 
-    Every gate acts in place on one working copy of the amplitudes: the
-    Clifford gates (H, S, X, Z, CNOT, CZ) on strided views of it reshaped
-    to (2,)*n, GIVENS and PAIR_HOP through _apply_excitation.
+    Every gate acts in place on strided views (_bits_view) of one working
+    copy of the amplitudes reshaped to (2,)*n: the Clifford gates (H, S,
+    X, Z, CNOT, CZ) directly, GIVENS and PAIR_HOP through
+    _apply_excitation.
     """
     if state.n_qubits != circuit.n_qubits:
         raise ValueError("state and circuit qubit counts differ")
@@ -222,7 +228,7 @@ def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
     tensor = amps.reshape((2,) * state.n_qubits)
     for gate in circuit.gates:
         if gate.name in ("GIVENS", "PAIR_HOP"):
-            _apply_excitation(amps, gate.qubits, gate.angle)
+            _apply_excitation(tensor, gate.qubits, gate.angle)
         elif gate.name == "CNOT":
             c, t = gate.qubits
             _swap(_bits_view(tensor, (c, 1), (t, 0)), _bits_view(tensor, (c, 1), (t, 1)))

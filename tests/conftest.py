@@ -9,7 +9,7 @@ import scipy.sparse
 from hcbmeasure.encoding import build_qubit_hamiltonian, spin_orbital_index
 from hcbmeasure.geometry import build_geometry
 from hcbmeasure.integrals import IntegralTensors, minimal_basis_integrals
-from hcbmeasure.paulis import PauliSum
+from hcbmeasure.paulis import PauliString, PauliSum
 from hcbmeasure.rotations import PairingGraph, graph_rotation
 from hcbmeasure.simulator import (
     LEAK_TOL,
@@ -24,6 +24,35 @@ from hcbmeasure.simulator import (
 # Lowest eigenvalue of the 2-electron sector at 0.7414 A, STO-3G, frozen
 # from an independent determinant-CI evaluation (tests/data/ fixture docs).
 H2_FCI_ENERGY = -1.137270174661
+
+
+_PHASES = (1.0, 1.0j, -1.0, -1.0j)
+
+
+def multiply(a: PauliString, b: PauliString) -> tuple[PauliString, complex]:
+    """Product a*b as (string, phase) with phase in {1, i, -1, -i}: the
+    one-pair-at-a-time Pauli product of the dict-encoder oracle."""
+    if a.n_qubits != b.n_qubits:
+        raise ValueError("Pauli strings act on different qubit counts")
+    x = a.x_mask ^ b.x_mask
+    z = a.z_mask ^ b.z_mask
+    k = (
+        (a.x_mask & a.z_mask).bit_count()
+        + (b.x_mask & b.z_mask).bit_count()
+        - (x & z).bit_count()
+        + 2 * (a.z_mask & b.x_mask).bit_count()
+    )
+    return PauliString(a.n_qubits, x, z), _PHASES[k % 4]
+
+
+def ladder_terms(n_qubits: int, index: int, creation: bool) -> list[tuple[PauliString, complex]]:
+    """Jordan-Wigner image of a single ladder operator as (string, coeff) pairs."""
+    prefix = (1 << index) - 1
+    bit = 1 << index
+    x_part = PauliString(n_qubits, bit, prefix)
+    y_part = PauliString(n_qubits, bit, prefix | bit)
+    y_coeff = -0.5j if creation else 0.5j
+    return [(x_part, 0.5 + 0.0j), (y_part, y_coeff)]
 
 
 def tensor_gap(a, b) -> float:

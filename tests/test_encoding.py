@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_tensors
+from conftest import ladder_terms, multiply, random_tensors
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,13 +16,12 @@ from hcbmeasure.encoding import (
     build_qubit_hamiltonian,
     check_ordering,
     jw_encode,
-    ladder_terms,
     qubit_table,
     spin_orbital_index,
 )
 from hcbmeasure.fcidump import read_fcidump, write_fcidump
 from hcbmeasure.integrals import IntegralTensors
-from hcbmeasure.paulis import PauliString, PauliSum, multiply
+from hcbmeasure.paulis import PauliString, PauliSum
 from hcbmeasure.rotations import random_orthogonal_rotation, rotate_integrals
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -220,7 +219,7 @@ def test_hamiltonian_against_dense_fock_oracle(h2_tensors):
 
 
 # ---------------------------------------------------------------------------
-# the dict-based encoder, one paulis.multiply per (string, ladder part): the
+# the dict-based encoder, one multiply per (string, ladder part): the
 # oracle the array encoder must match bit for bit
 
 

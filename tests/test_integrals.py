@@ -1,5 +1,7 @@
 """Minimal-basis integral tensors: values, symmetries, error handling."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from conftest import H2_FCI_ENERGY
 from hcbmeasure.encoding import build_qubit_hamiltonian
 from hcbmeasure.geometry import Geometry, build_geometry
 from hcbmeasure.integrals import (
+    BOHR_PER_ANGSTROM,
     IntegralTensors,
+    _ao_integrals,
     chemist_to_internal,
     internal_to_chemist,
     minimal_basis_integrals,
@@ -41,6 +45,45 @@ def test_mirror_symmetry_h4(h4_tensors):
     g = h4_tensors.two_body
     assert np.allclose(h[np.ix_(perm, perm)], h, atol=1e-12)
     assert np.allclose(g[np.ix_(perm, perm, perm, perm)], g, atol=1e-12)
+
+
+# the 8-fold symmetry of a real (ij|kl): the seven index permutations
+# besides the identity
+ERI_PERMUTATIONS = [(1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
+                    (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0)]
+
+
+@pytest.mark.parametrize("shape,seed", [("line", None), ("ring", None), ("random", 7)])
+def test_ao_integrals_are_exactly_symmetric(shape, seed):
+    coords = build_geometry(5, 1.1, shape, seed).coordinates * BOHR_PER_ANGSTROM
+    S, T, V, eri = _ao_integrals(coords, np.ones(5))
+    for matrix in (S, T, V):
+        assert np.array_equal(matrix, matrix.T)
+    assert len(np.unique(eri)) > 1
+    for perm in ERI_PERMUTATIONS:
+        assert np.array_equal(eri, eri.transpose(perm)), perm
+
+
+# sha256 of the one_body, two_body and e_nuc bytes (Lowdin orbitals) off the
+# line, where the AO arrays are most sensitive to the rounding of r^2
+PINNED_TENSORS = [
+    ((4, 1.0, "square", None),
+     "c23583224b2dcc415e55bbb55738d6648a9d40c6a35d61a8360cea0743d0796d"),
+    ((6, 1.5, "ring", None),
+     "2520e5b36375fa816f6c0489bb82f17bbf34a0fc72c4c335884e833efaa33c85"),
+    ((6, 1.5, "random", 1),
+     "0c8c1695a11b4669a9d6ae7152ff8dd9deb815804f952e70f5b04083f6b3c081"),
+]
+
+
+@pytest.mark.parametrize("system,digest", PINNED_TENSORS,
+                         ids=["h4-square", "h6-ring", "h6-random-seed1"])
+def test_tensors_are_pinned(system, digest):
+    tensors = minimal_basis_integrals(build_geometry(*system))
+    sha = hashlib.sha256()
+    for array in (tensors.one_body, tensors.two_body, np.array([tensors.e_nuc])):
+        sha.update(array.tobytes())
+    assert sha.hexdigest() == digest
 
 
 def test_nuclear_repulsion_h2(h2_tensors):

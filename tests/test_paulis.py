@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hcbmeasure.paulis as paulis
-from hcbmeasure.paulis import PauliString, PauliSum, anticommutation_matrix, multiply
+from conftest import multiply
+from hcbmeasure.paulis import PauliString, PauliSum, anticommutation_matrix
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
