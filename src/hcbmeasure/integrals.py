@@ -29,6 +29,8 @@ STO3G_H_COEFFS = np.array([0.15432897, 0.53532814, 0.44463454])
 LOWDIN_TOL = 1e-8  # smallest overlap eigenvalue lowdin_matrix accepts
 SCF_MAX_ITER = 500
 SCF_CONV = 1e-10  # energy change (Ha) at which the SCF stops
+SCF_LEVEL_SHIFT = 1.0  # Ha added to the virtual orbital energies by the fallback SCF
+SCF_COMMUTATOR_TOL = 1e-4  # largest ||FDS - SDF|| the fallback SCF may stop at
 
 
 @dataclass
@@ -199,33 +201,76 @@ def _transform(hcore: np.ndarray, eri: np.ndarray, C: np.ndarray):
     return h, g
 
 
+def _fock(density: np.ndarray, hcore: np.ndarray, eri: np.ndarray) -> np.ndarray:
+    coulomb = np.einsum("rs,pqrs->pq", density, eri, optimize=True)
+    exchange = np.einsum("rs,prqs->pq", density, eri, optimize=True)
+    return hcore + coulomb - 0.5 * exchange
+
+
+def _scf_iterations(X: np.ndarray, hcore: np.ndarray, eri: np.ndarray, n_occ: int,
+                    level_shift: float = 0.0):
+    """SCF from the core-Hamiltonian guess until the energy changes by less
+    than SCF_CONV: (C, energy, density, Fock matrix), or None after
+    SCF_MAX_ITER iterations.  Without a level shift each new density is
+    damped 0.7/0.3 against the last; with one, the virtual orbitals'
+    energies are raised by level_shift instead (Saunders & Hillier, Int. J.
+    Quantum Chem. 7, 699 (1973)), which shrinks every step's
+    occupied-virtual rotation; a large enough shift makes each step lower
+    the energy."""
+    fock = hcore.copy()
+    energy = 0.0
+    density = np.zeros_like(hcore)
+    occupied = np.zeros((len(X), n_occ))  # the last occupied orbitals, orthonormal basis
+    for iteration in range(SCF_MAX_ITER):
+        f_ortho = X.T @ fock @ X
+        if level_shift:
+            f_ortho += level_shift * (np.eye(len(X)) - occupied @ occupied.T)
+        _, C_ortho = np.linalg.eigh(f_ortho)
+        occupied = C_ortho[:, :n_occ]
+        C = X @ C_ortho
+        new_density = 2.0 * C[:, :n_occ] @ C[:, :n_occ].T
+        if iteration > 0 and not level_shift:
+            new_density = 0.7 * new_density + 0.3 * density
+        density = new_density
+        fock = _fock(density, hcore, eri)
+        new_energy = 0.5 * np.sum(density * (hcore + fock))
+        if iteration > 1 and abs(new_energy - energy) < SCF_CONV:
+            return C, float(new_energy), density, fock
+        energy = new_energy
+    return None
+
+
 def restricted_hartree_fock(
     S: np.ndarray, hcore: np.ndarray, eri: np.ndarray, n_electrons: int
 ) -> tuple[np.ndarray, float]:
-    """Closed-shell SCF; returns (MO coefficients, electronic energy)."""
+    """Closed-shell SCF; returns (MO coefficients, electronic energy).
+
+    The damped iteration runs first.  On some clusters it flips between two
+    densities with period two (the H4 random cluster of seed 1 at 1.5 Å
+    alternates between -3.0634 and -3.0580 Ha); only where it has not
+    converged in SCF_MAX_ITER iterations is the level-shifted iteration run
+    (virtual shift SCF_LEVEL_SHIFT), so every cluster the damped one
+    converges keeps its bits.  The level-shifted result is accepted only
+    when its density D commutes with its Fock matrix F, ||FDS - SDF|| (the
+    Frobenius norm) at most SCF_COMMUTATOR_TOL.
+    """
     if n_electrons % 2 != 0:
         raise ValueError("restricted Hartree-Fock needs an even electron count")
-    n_occ = n_electrons // 2
     X = lowdin_matrix(S)
-    fock = hcore.copy()
-    energy = 0.0
-    density = np.zeros_like(S)
-    for iteration in range(SCF_MAX_ITER):
-        f_ortho = X.T @ fock @ X
-        _, C_ortho = np.linalg.eigh(f_ortho)
-        C = X @ C_ortho
-        new_density = 2.0 * C[:, :n_occ] @ C[:, :n_occ].T
-        if iteration > 0:
-            new_density = 0.7 * new_density + 0.3 * density
-        density = new_density
-        coulomb = np.einsum("rs,pqrs->pq", density, eri, optimize=True)
-        exchange = np.einsum("rs,prqs->pq", density, eri, optimize=True)
-        fock = hcore + coulomb - 0.5 * exchange
-        new_energy = 0.5 * np.sum(density * (hcore + fock))
-        if iteration > 1 and abs(new_energy - energy) < SCF_CONV:
-            return C, float(new_energy)
-        energy = new_energy
-    raise ValueError(f"SCF did not converge in {SCF_MAX_ITER} iterations")
+    result = _scf_iterations(X, hcore, eri, n_electrons // 2)
+    if result is None:
+        result = _scf_iterations(X, hcore, eri, n_electrons // 2, SCF_LEVEL_SHIFT)
+        if result is None:
+            raise ValueError(
+                f"SCF did not converge in {SCF_MAX_ITER} iterations, damped or level-shifted")
+        _, _, density, fock = result
+        residual = float(np.linalg.norm(fock @ density @ S - S @ density @ fock))
+        if residual > SCF_COMMUTATOR_TOL:
+            raise ValueError(
+                f"level-shifted SCF stopped at a non-stationary density "
+                f"(||FDS - SDF|| = {residual:.3e})")
+    C, energy, _, _ = result
+    return C, energy
 
 
 def minimal_basis_integrals(geom, mode: str = "lowdin") -> IntegralTensors:

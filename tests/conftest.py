@@ -274,5 +274,11 @@ def h6_ground(h6_operator):
 
 
 @pytest.fixture(scope="session")
+def h8_operator():
+    return build_qubit_hamiltonian(minimal_basis_integrals(build_geometry(8, 1.5, "line")),
+                                   "interleaved")
+
+
+@pytest.fixture(scope="session")
 def h6_distances(h6_geometry):
     return h6_geometry.distances()

@@ -5,16 +5,22 @@ import hashlib
 import numpy as np
 import pytest
 
+import hcbmeasure.integrals as integrals
 from conftest import H2_FCI_ENERGY
 from hcbmeasure.encoding import build_qubit_hamiltonian
 from hcbmeasure.geometry import Geometry, build_geometry
 from hcbmeasure.integrals import (
     BOHR_PER_ANGSTROM,
+    SCF_COMMUTATOR_TOL,
     IntegralTensors,
     _ao_integrals,
+    _fock,
+    _scf_iterations,
     chemist_to_internal,
     internal_to_chemist,
+    lowdin_matrix,
     minimal_basis_integrals,
+    restricted_hartree_fock,
 )
 from hcbmeasure.simulator import ground_state
 
@@ -140,6 +146,63 @@ def test_hartree_fock_mode_h2_symmetric_split():
     tensors = minimal_basis_integrals(build_geometry(2, 0.7414, "line"),
                                       mode="hartree-fock")
     assert abs(tensors.one_body[0, 1]) < 1e-10
+
+
+# electronic RHF energies (Ha) of random clusters at 1.5 A on which the
+# damped SCF flips between two densities; a 1.0 Ha level shift reaches these
+# (a 0.5 Ha one stops H8 seed 7 at a higher solution, -8.40922)
+LEVEL_SHIFTED_SCF = [((4, 1), -3.2129482), ((6, 1), -6.1172391),
+                     ((8, 1), -8.8711416), ((8, 7), -8.4134716)]
+
+
+@pytest.mark.parametrize("cluster,energy", LEVEL_SHIFTED_SCF,
+                         ids=["h4-seed1", "h6-seed1", "h8-seed1", "h8-seed7"])
+def test_level_shifted_scf_converges_where_damping_oscillates(cluster, energy):
+    n, seed = cluster
+    geom = build_geometry(n, 1.5, "random", seed)
+    S, T, V, eri = _ao_integrals(geom.coordinates * BOHR_PER_ANGSTROM, np.ones(n))
+    hcore = T + V
+    assert _scf_iterations(lowdin_matrix(S), hcore, eri, n // 2) is None
+    C, got = restricted_hartree_fock(S, hcore, eri, n)
+    assert got == pytest.approx(energy, abs=1e-7)
+    density = 2.0 * C[:, :n // 2] @ C[:, :n // 2].T
+    fock = _fock(density, hcore, eri)
+    assert np.linalg.norm(fock @ density @ S - S @ density @ fock) <= SCF_COMMUTATOR_TOL
+    assert np.allclose(C.T @ S @ C, np.eye(n), atol=1e-12)
+    assert minimal_basis_integrals(geom, mode="hartree-fock").basis == "sto3g-rhf"
+
+
+def test_level_shifted_scf_is_checked_and_can_still_fail(monkeypatch):
+    """A level-shifted result above the commutator bound is rejected, and
+    with both iterations cut short the error names them both."""
+    geom = build_geometry(4, 1.5, "random", 1)
+    monkeypatch.setattr(integrals, "SCF_COMMUTATOR_TOL", 1e-9)
+    with pytest.raises(ValueError, match=r"^level-shifted SCF stopped at a non-stationary "
+                                         r"density \(\|\|FDS - SDF\|\| = 1\.\d{3}e-05\)$"):
+        minimal_basis_integrals(geom, mode="hartree-fock")
+    monkeypatch.setattr(integrals, "SCF_MAX_ITER", 3)
+    with pytest.raises(ValueError, match="^SCF did not converge in 3 iterations, "
+                                         "damped or level-shifted$"):
+        minimal_basis_integrals(geom, mode="hartree-fock")
+
+
+# sha256 of the one_body, two_body and e_nuc bytes in canonical RHF orbitals,
+# which the damped SCF converges on the line without the fallback
+PINNED_HF_TENSORS = [
+    ((2, 0.7414, "line"),
+     "47cd3808b38d21c2487246989656b71a6ff271fbf9305a5162be30af080bad54"),
+    ((4, 1.5, "line"),
+     "61724981e2f80edf2f84361d4cd9d9edb2ca83abf38bae83c29ef6938f7a2858"),
+]
+
+
+@pytest.mark.parametrize("system,digest", PINNED_HF_TENSORS, ids=["h2", "h4-line"])
+def test_hartree_fock_tensors_are_pinned(system, digest):
+    tensors = minimal_basis_integrals(build_geometry(*system), mode="hartree-fock")
+    sha = hashlib.sha256()
+    for array in (tensors.one_body, tensors.two_body, np.array([tensors.e_nuc])):
+        sha.update(array.tobytes())
+    assert sha.hexdigest() == digest
 
 
 def test_unknown_mode_rejected(h2_geometry):

@@ -1,8 +1,10 @@
 """Statevector simulation: gates, ansatz, eigensolver, finite-shot sampling."""
 
+import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -421,19 +423,27 @@ def test_block_operator_is_the_oracle_in_real_arithmetic(request, system, orderi
         want_block, want = block_operator_oracle(op, n_electrons, ordering)
         assert np.array_equal(block, want_block)
         assert mat.dtype == np.float64
+        assert mat.has_canonical_format
+        assert mat.indices.dtype == mat.indptr.dtype == np.int32
         assert want.dtype == np.complex128 and not np.any(want.data.imag)
         assert np.array_equal(mat.indptr, want.indptr)
         assert np.array_equal(mat.indices, want.indices)
         assert np.array_equal(mat.data, want.data.real)
 
 
+def _imaginary_hop() -> PauliSum:
+    """i t (a+_0s a_2s - a+_2s a_0s) on both spins of H4, interleaved: Hermitian,
+    spin-free, and every string has one Y."""
+    so = [[spin_orbital_index(k, s, 4, "interleaved") for s in (0, 1)] for k in range(4)]
+    return jw_encode(8, [(c, ((so[p][s], True), (so[q][s], False)))
+                         for s in (0, 1) for p, q, c in ((0, 2, 0.3j), (2, 0, -0.3j))])
+
+
 def test_an_odd_y_operator_builds_complex_and_keeps_its_eigenpair(h4_operator):
     """i t (a+_0s a_2s - a+_2s a_0s) on both spins is Hermitian, spin-free and
     JW-encodes to strings with one Y each, so the H4 block goes complex; its
     entries are the oracle's and its eigenpair the dense N-sector one's."""
-    so = [[spin_orbital_index(k, s, 4, "interleaved") for s in (0, 1)] for k in range(4)]
-    hop = jw_encode(8, [(c, ((so[p][s], True), (so[q][s], False)))
-                        for s in (0, 1) for p, q, c in ((0, 2, 0.3j), (2, 0, -0.3j))])
+    hop = _imaginary_hop()
     assert any((s.x_mask & s.z_mask).bit_count() % 2 for s, _ in hop.terms())
     terms = dict(h4_operator.terms())
     assert terms.keys().isdisjoint(dict(hop.terms()))
@@ -441,6 +451,8 @@ def test_an_odd_y_operator_builds_complex_and_keeps_its_eigenpair(h4_operator):
     block, mat = _block_operator(op, 4, "interleaved")
     _, want = block_operator_oracle(op, 4, "interleaved")
     assert mat.dtype == np.complex128 and np.any(mat.data.imag)
+    assert mat.has_canonical_format
+    assert mat.indices.dtype == mat.indptr.dtype == np.int32
     assert np.array_equal(mat.indptr, want.indptr)
     assert np.array_equal(mat.indices, want.indices)
     assert np.array_equal(mat.data, want.data)
@@ -448,6 +460,62 @@ def test_an_odd_y_operator_builds_complex_and_keeps_its_eigenpair(h4_operator):
     want_energy, want_vec = _n_sector_ground_state(op, 4)
     assert abs(energy - want_energy) < 1e-10
     assert abs(np.vdot(want_vec, state.amplitudes)) >= 1 - 1e-12
+
+
+def test_block_operator_reports_the_hermiticity_gap(monkeypatch, h4_operator):
+    """With the phase of a one-Y string read as 1 instead of i, the odd-Y
+    strings turn anti-Hermitian and the builder raises with the largest
+    |M - M^H| of the block, as a dense sum of the same strings gives it."""
+    op = PauliSum(8, {**dict(h4_operator.terms()), **dict(_imaginary_hop().terms())})
+    wrong_powers = np.array([1, 1, -1, -1j])
+    block, _ = _block_operator(op, 4, "interleaved")
+    dense = np.zeros((256, 256), dtype=complex)
+    basis = np.arange(256)
+    for x_mask, z_mask, coeff in zip(op.x.tolist(), op.z.tolist(), op.coeffs):
+        phase = wrong_powers[(x_mask & z_mask).bit_count() % 4]
+        dense[basis ^ x_mask, basis] += coeff * phase * (1.0 - 2.0 * _parity(basis, z_mask))
+    sub = dense[np.ix_(block, block)]
+    gap = np.abs(sub - sub.conj().T).max()
+    assert gap > 0.1
+    monkeypatch.setattr(simulator, "_I_POWERS", wrong_powers)
+    with pytest.raises(ValueError, match=rf"^operator is not Hermitian on the block "
+                                         rf"\(gap {gap:.3e}\)$"):
+        _block_operator(op, 4, "interleaved")
+
+
+# sha256 of indptr, indices and data of the H8 line's interleaved block
+# matrices, as the COO builder this one replaced returned them; the per-term
+# oracle is too slow at 16 qubits
+H8_BLOCK_PINS = {
+    7: "aa0b38b72ddebb9d6f2f94fb97b096f29c2f2ecb6821f5b637b38dfb5060e684",
+    8: "4c92dd5a33624ecee83798d43dc8265c5abbf6478f94f8e1d9c772676e9013ed",
+}
+
+
+@pytest.mark.parametrize("n_electrons", [7, 8])
+def test_h8_block_operator_is_pinned(h8_operator, n_electrons):
+    _, mat = _block_operator(h8_operator, n_electrons, "interleaved")
+    assert mat.dtype == np.float64
+    assert mat.has_canonical_format
+    assert mat.indices.dtype == mat.indptr.dtype == np.int32
+    sha = hashlib.sha256()
+    for array in (mat.indptr, mat.indices, mat.data):
+        sha.update(array.tobytes())
+    assert sha.hexdigest() == H8_BLOCK_PINS[n_electrons]
+
+
+def test_h8_block_build_peaks_below_twice_its_csr_arrays(h8_operator):
+    """The builder writes straight into the CSR arrays, so its traced peak
+    is those arrays plus one X-pattern's working arrays (1.5x at H8); a COO build
+    with a transpose for the Hermiticity check peaked at 7x."""
+    tracemalloc.start()
+    try:
+        _, mat = _block_operator(h8_operator, 8, "interleaved")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    csr_bytes = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+    assert peak <= 2 * csr_bytes
 
 
 _REAL_LANCZOS_CHILD = """
