@@ -22,7 +22,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate
 from .groups import CommutingGroup
-from .paulis import PauliSum, anticommutation_matrix
+from .paulis import PauliSum, anticommutation_rows
 from .simulator import pauli_expectations
 
 GROUPING_METHODS = ("LF", "RLF", "SI")
@@ -68,26 +68,32 @@ def _mask_mix(x: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _conflict_graph(op: PauliSum) -> tuple[np.ndarray, np.ndarray]:
-    """The anticommutation matrix of op's terms and their _mask_mix keys."""
+    """The anticommutation rows of op's terms, packed (anticommutation_rows),
+    and their _mask_mix keys."""
     if not len(op):
         raise ValueError("cannot group an empty operator")
-    return anticommutation_matrix(op), _mask_mix(op.x, op.z)
+    return anticommutation_rows(op), _mask_mix(op.x, op.z)
 
 
-def _best(allowed: np.ndarray, score: np.ndarray, keys: np.ndarray) -> int:
-    """Allowed vertex of highest score; ties go to the smallest key."""
-    masked = np.where(allowed, score, -1)
-    top = np.flatnonzero(masked == masked.max())
-    return int(top[np.argmin(keys[top])])
+def _unpacked(packed: np.ndarray, n: int) -> np.ndarray:
+    """Packed conflict rows as 0/1 bytes, n to a row."""
+    return np.unpackbits(packed, axis=-1, count=n)
+
+
+def _best(allowed: np.ndarray, score: np.ndarray, tiebreak: np.ndarray, bits: int) -> int:
+    """Allowed vertex of highest score; ties go to the highest tiebreak,
+    a value below 2^bits that no two vertices share."""
+    return int(np.where(allowed, (score.astype(np.int64) << bits) | tiebreak, -1).argmax())
 
 
 def _first_fit(conflict: np.ndarray, order) -> np.ndarray:
     """Greedy coloring: each vertex in order takes the smallest color none of
     its already-colored neighbours has, opening a new color when all do."""
-    blocked: list[np.ndarray] = []  # per color: adjacent to one of its vertices
+    blocked: list[np.ndarray] = []  # per color, packed: adjacent to one of its vertices
     colors = np.full(len(conflict), -1)
-    for vertex in order:
-        color = next((k for k, row in enumerate(blocked) if not row[vertex]), len(blocked))
+    for vertex in order.tolist():
+        byte, bit = vertex >> 3, 0x80 >> (vertex & 7)
+        color = next((k for k, row in enumerate(blocked) if not row[byte] & bit), len(blocked))
         if color == len(blocked):
             blocked.append(conflict[vertex].copy())
         else:
@@ -114,7 +120,7 @@ def lf_grouping(op: PauliSum) -> GroupingResult:
     already-colored neighbours.
     """
     conflict, keys = _conflict_graph(op)
-    order = np.lexsort((keys, -conflict.sum(axis=1)))
+    order = np.lexsort((keys, -np.bitwise_count(conflict).sum(axis=1, dtype=np.int64)))
     return _build_result(op, _first_fit(conflict, order), "LF")
 
 
@@ -128,29 +134,34 @@ def rlf_grouping(op: PauliSum) -> GroupingResult:
     """
     conflict, keys = _conflict_graph(op)
     n = len(op)
+    # counts stay below n, so int16 sums are exact up to 2^15 terms
+    count = np.int16 if n < 1 << 15 else np.int32
+    tiebreak = np.empty(n, dtype=np.int64)  # n - 1 - rank of the key: the smallest wins
+    tiebreak[np.argsort(keys, kind="stable")] = np.arange(n - 1, -1, -1)
+    bits = max(1, (n - 1).bit_length())
     colors = np.full(n, -1)
     uncolored = np.ones(n, dtype=bool)
-    degree = conflict.sum(axis=1)  # neighbours among the uncolored
+    degree = np.bitwise_count(conflict).sum(axis=1, dtype=count)  # among the uncolored
     color = 0
     while uncolored.any():
-        seed = _best(uncolored, degree, keys)
+        seed = _best(uncolored, degree, tiebreak, bits)
         in_class = [seed]
-        excluded = conflict[seed] & uncolored
+        excluded = _unpacked(conflict[seed], n).view(bool) & uncolored
         candidates = uncolored & ~excluded
         candidates[seed] = False
-        score = conflict[excluded].sum(axis=0)  # neighbours among the excluded
+        score = _unpacked(conflict[excluded], n).sum(axis=0, dtype=count)  # among the excluded
         while candidates.any():
-            best = _best(candidates, score, keys)
+            best = _best(candidates, score, tiebreak, bits)
             in_class.append(best)
             # best has no neighbour in the class, so its uncolored neighbours
             # not yet excluded are candidates, and they become excluded
-            newly = conflict[best] & candidates
-            score += conflict[newly].sum(axis=0)
+            newly = _unpacked(conflict[best], n).view(bool) & candidates
+            score += _unpacked(conflict[newly], n).sum(axis=0, dtype=count)
             candidates &= ~newly
             candidates[best] = False
         colors[in_class] = color
         uncolored[in_class] = False
-        degree -= conflict[in_class].sum(axis=0)
+        degree -= _unpacked(conflict[in_class], n).sum(axis=0, dtype=count)
         color += 1
     return _build_result(op, colors, "RLF")
 

@@ -19,7 +19,7 @@ import numpy as np
 
 _LETTER_TO_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
-ANTICOMMUTE_BLOCK = 1 << 18  # mask-pair entries of one anticommutation_matrix block
+ANTICOMMUTE_BLOCK = 1 << 18  # mask-pair entries of one anticommutation_rows block
 
 
 def _check_masks(n_qubits: int, x_mask: int, z_mask: int) -> None:
@@ -78,6 +78,24 @@ class PauliString:
         return self.label() or "I"
 
 
+def anticommutation_rows(op: PauliSum) -> np.ndarray:
+    """anticommutation_matrix packed eight entries to a byte along each row
+    (np.packbits order: entry j is bit 7 - j % 8 of byte j // 8)."""
+    dtype = np.min_scalar_type((1 << op.n_qubits) - 1)
+    x = op.x.astype(dtype)
+    z = op.z.astype(dtype)
+    out = np.empty((len(x), (len(x) + 7) // 8), dtype=np.uint8)
+    # row blocks bound the mask matrices to ANTICOMMUTE_BLOCK entries each
+    step = max(1, ANTICOMMUTE_BLOCK // max(1, len(x)))
+    for start in range(0, len(x), step):
+        rows = slice(start, start + step)
+        # |a| + |b| and |a ^ b| have equal parity (a = x_i & z_j, b = z_i & x_j)
+        symplectic = x[rows, None] & z
+        symplectic ^= z[rows, None] & x
+        out[rows] = np.packbits(np.bitwise_count(symplectic) & 1, axis=1)
+    return out
+
+
 def anticommutation_matrix(op: PauliSum) -> np.ndarray:
     """Boolean matrix whose (i, j) entry is True when terms i and j of op anticommute.
 
@@ -87,19 +105,7 @@ def anticommutation_matrix(op: PauliSum) -> np.ndarray:
     fits op's qubit count (uint16 at 16 qubits).  The matrix is symmetric
     with a False diagonal.
     """
-    dtype = np.min_scalar_type((1 << op.n_qubits) - 1)
-    x = op.x.astype(dtype)
-    z = op.z.astype(dtype)
-    out = np.empty((len(x), len(x)), dtype=bool)
-    # row blocks bound the mask matrices to ANTICOMMUTE_BLOCK entries each
-    step = max(1, ANTICOMMUTE_BLOCK // max(1, len(x)))
-    for start in range(0, len(x), step):
-        rows = slice(start, start + step)
-        # |a| + |b| and |a ^ b| have equal parity (a = x_i & z_j, b = z_i & x_j)
-        symplectic = x[rows, None] & z
-        symplectic ^= z[rows, None] & x
-        out[rows] = np.bitwise_count(symplectic) & 1
-    return out
+    return np.unpackbits(anticommutation_rows(op), axis=1, count=len(op)).view(bool)
 
 
 class PauliSum:

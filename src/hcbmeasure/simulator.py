@@ -20,7 +20,7 @@ import scipy.sparse.linalg
 
 from .circuits import Circuit
 from .encoding import check_ordering, qubit_table
-from .groups import CommutingGroup, diagonalized_members, diagonalizing_circuit
+from .groups import CanonicalDiagonalizer, CommutingGroup, canonical_diagonalizer
 from .paulis import PauliSum
 from .rotations import OrbitalRotation, PairingGraph, givens_factorize
 
@@ -214,6 +214,14 @@ def _swap(a: np.ndarray, b: np.ndarray) -> None:
     b[...] = kept
 
 
+def _hadamard(low: np.ndarray, high: np.ndarray) -> None:
+    """H on the (low, high) amplitude pairs of one qubit, in place."""
+    total = low + high
+    np.subtract(low, high, out=high)
+    high *= _SQRT_HALF
+    np.multiply(total, _SQRT_HALF, out=low)
+
+
 def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
     """The state after the circuit's gates; the input state is left unchanged.
 
@@ -239,10 +247,7 @@ def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
             (q,) = gate.qubits
             low, high = _bits_view(tensor, (q, 0)), _bits_view(tensor, (q, 1))
             if gate.name == "H":
-                total = low + high
-                np.subtract(low, high, out=high)
-                high *= _SQRT_HALF
-                np.multiply(total, _SQRT_HALF, out=low)
+                _hadamard(low, high)
             elif gate.name == "S":
                 high *= 1j
             elif gate.name == "X":
@@ -725,36 +730,79 @@ class GroupSample:
     energy: float  # sum_i c_i <P_i>_est
 
 
+def _support_probabilities(
+    state: Statevector, form: CanonicalDiagonalizer
+) -> tuple[np.ndarray, np.ndarray]:
+    """(outcomes, probabilities) of measuring the state after form's circuit,
+    over the nonzero outcomes in ascending order, with no 2^n vector.
+
+    The CNOT fan-out and the CZ/S network send each support state b to one
+    basis state at a power of i: one XOR and one phase per state.  The H
+    layer is a k-qubit Walsh-Hadamard transform over the cosets of those
+    states off the k pivots, k butterflies in apply_circuit's H arithmetic
+    in the circuit's pivot order, so the probabilities equal the
+    full-vector path's bit for bit.
+    """
+    support = np.flatnonzero(state.amplitudes != 0)
+    amps = state.amplitudes[support] * _I_POWERS[form.phase_exponents(support) % 4]
+    cosets, where = np.unique((support & ~form.pivot_mask) ^ form.fanout_flips(support),
+                              return_inverse=True)
+    k = len(form.pivots)
+    pattern = np.zeros_like(support)  # pivot i's bit at bit i
+    spread = np.zeros(1 << k, dtype=np.int64)  # pattern -> those bits on the pivots
+    for i, p in enumerate(form.pivots):
+        pattern |= ((support >> p) & 1) << i
+        spread[1 << i:2 << i] = spread[:1 << i] | (1 << p)
+    table = np.zeros((1 << k, len(cosets)), dtype=complex)
+    table[pattern, where.reshape(-1)] = amps
+    for i in range(k):
+        pairs = table.reshape(1 << (k - 1 - i), 2, -1)
+        _hadamard(pairs[:, 0], pairs[:, 1])
+    probs = np.abs(table.reshape(-1)) ** 2
+    # basis states in the smallest unsigned type that holds them: uint16 at
+    # 16 qubits, where the stable argsort is a radix sort
+    index = np.min_scalar_type((1 << state.n_qubits) - 1)
+    outcomes = (spread[:, None] | cosets[None, :]).astype(index).reshape(-1)
+    hit = np.flatnonzero(probs)
+    hit = hit[np.argsort(outcomes[hit], kind="stable")]
+    return outcomes[hit], probs[hit]
+
+
 @dataclass(frozen=True)
 class _PreparedGroup:
     """A group made ready to sample on one state.
 
     z_masks, signs and folded: each member's diagonal image sign * Z^z_mask
-    under the diagonalizing circuit (see diagonalized_members) and its
+    under the canonical diagonalizer (see canonical_diagonalizer) and its
     folded coefficient sign * c; signs carries the sign back to the
-    original string's estimate.  cdf: cumulative outcome distribution of
-    the state after the diagonalizing circuit, built as Generator.choice
-    builds it, so a draw consumes the same random stream as
-    rng.choice(len(p), size=shots, p=p).
+    original string's estimate.  values and cdf: the nonzero outcomes of
+    the state after the diagonalizer, ascending, and their cumulative
+    distribution, built as Generator.choice builds it from the full
+    outcome vector (zero-probability outcomes add exact zeros), so a draw
+    consumes the same random stream as rng.choice(2^n, size=shots, p=p).
     """
 
     label: str
     z_masks: np.ndarray
     folded: np.ndarray
     signs: np.ndarray
+    values: np.ndarray
     cdf: np.ndarray
 
     @classmethod
     def build(cls, state: Statevector, group: CommutingGroup) -> "_PreparedGroup":
-        diag = diagonalizing_circuit(group)
-        z_masks, signs = diagonalized_members(group, diag)
-        probs = apply_circuit(state, diag).probabilities()
-        cdf = (probs / probs.sum()).cumsum()
+        if group.n_qubits != state.n_qubits:
+            raise ValueError("group and state qubit counts differ")
+        form = canonical_diagonalizer(group)
+        z_masks, signs = form.images(group.op)
+        values, probs = _support_probabilities(state, form)
+        cdf = probs.cumsum()
         cdf /= cdf[-1]
-        return cls(group.label, z_masks.astype(np.int64), signs * group.op.coeffs, signs, cdf)
+        return cls(group.label, z_masks.astype(np.int64), signs * group.op.coeffs, signs,
+                   values, cdf)
 
     def outcomes(self, shots: int, rng: np.random.Generator) -> np.ndarray:
-        return self.cdf.searchsorted(rng.random(shots), side="right")
+        return self.values[self.cdf.searchsorted(rng.random(shots), side="right")]
 
     def draw(self, shots: int, rng: np.random.Generator) -> GroupSample:
         values, counts = np.unique(self.outcomes(shots, rng), return_counts=True)
@@ -813,6 +861,15 @@ def exact_plan_energy(plan: list[tuple[CommutingGroup, Statevector, float]]) -> 
     return exact
 
 
+def _shot_count(group: CommutingGroup, shots: float) -> int:
+    """A plan entry's budget as a draw count: ceil(shots), at least one.
+    Raises ValueError, naming the group, on a non-finite or negative budget."""
+    if not (np.isfinite(shots) and shots >= 0):
+        raise ValueError(f"group {group.label!r}: shot budget must be finite and "
+                         f"non-negative, got {shots}")
+    return max(1, int(np.ceil(shots)))
+
+
 def finite_sample_experiment(
     plan: list[tuple[CommutingGroup, Statevector, int]],
     repetitions: int,
@@ -820,26 +877,28 @@ def finite_sample_experiment(
 ) -> SampledEnergies:
     """Sample every (group, state, shots) entry `repetitions` times.
 
-    The exact reference is exact_plan_energy(plan), so the
-    reported errors isolate sampling noise for the measured operator set.
-    Each entry is prepared once: its commutation is certified, its
-    diagonalizing circuit built and applied, and the outcome CDF formed.
-    A repetition then only draws: ceil(shots) (at least one) uniforms from
+    The exact reference is exact_plan_energy(plan), so the reported errors
+    isolate sampling noise for the measured operator set.  Each entry is
+    prepared once (_PreparedGroup.build): its commutation is certified, its
+    canonical diagonalizer and the members' diagonal images formed in
+    closed form, and the outcome CDF built on the state's support.  A
+    repetition then only draws: ceil(shots) (at least one) uniforms from
     the one generator seeded by `seed`, located in the CDF as
     Generator.choice(p=...) would locate them, and one members x outcomes
     parity product turns the outcome counts into every member's estimate.
+    Raises ValueError on a non-finite or negative budget.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    counts = [_shot_count(group, shots) for group, _, shots in plan]
     rng = np.random.default_rng(seed)
     exact = exact_plan_energy(plan)
-    prepared = [(_PreparedGroup.build(state, group), max(1, int(np.ceil(shots))))
-                for group, state, shots in plan]
+    prepared = [(_PreparedGroup.build(state, group), shots)
+                for (group, state, _), shots in zip(plan, counts)]
     energies = np.empty(repetitions)
     for rep in range(repetitions):
         total = 0.0
         for entry, shots in prepared:
             total += entry.draw(shots, rng).energy
         energies[rep] = total
-    total_shots = sum(shots for _, shots in prepared)
-    return SampledEnergies(energies, exact, total_shots)
+    return SampledEnergies(energies, exact, sum(counts))

@@ -10,7 +10,7 @@ from hcbmeasure.encoding import build_qubit_hamiltonian, spin_orbital_index
 from hcbmeasure.geometry import build_geometry
 from hcbmeasure.integrals import IntegralTensors, minimal_basis_integrals
 from hcbmeasure.paulis import PauliString, PauliSum
-from hcbmeasure.rotations import PairingGraph, graph_rotation
+from hcbmeasure.rotations import PairingGraph, distance_ranked_matchings, graph_rotation
 from hcbmeasure.simulator import (
     LEAK_TOL,
     Statevector,
@@ -274,9 +274,33 @@ def h6_ground(h6_operator):
 
 
 @pytest.fixture(scope="session")
-def h8_operator():
-    return build_qubit_hamiltonian(minimal_basis_integrals(build_geometry(8, 1.5, "line")),
-                                   "interleaved")
+def h6_rotations(h6_geometry):
+    return [graph_rotation(g) for g in distance_ranked_matchings(h6_geometry.distances(), 2)]
+
+
+@pytest.fixture(scope="session")
+def h8_geometry():
+    return build_geometry(8, 1.5, "line")
+
+
+@pytest.fixture(scope="session")
+def h8_tensors(h8_geometry):
+    return minimal_basis_integrals(h8_geometry)
+
+
+@pytest.fixture(scope="session")
+def h8_operator(h8_tensors):
+    return build_qubit_hamiltonian(h8_tensors, "interleaved")
+
+
+@pytest.fixture(scope="session")
+def h8_ground(h8_operator):
+    return ground_state(h8_operator, 8)
+
+
+@pytest.fixture(scope="session")
+def h8_rotations(h8_geometry):
+    return [graph_rotation(g) for g in distance_ranked_matchings(h8_geometry.distances(), 2)]
 
 
 @pytest.fixture(scope="session")

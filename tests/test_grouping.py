@@ -5,6 +5,7 @@ import pytest
 from conftest import full_vector_expectation, group_union, membership_digest, sum_gap
 
 from hcbmeasure.grouping import (
+    _mask_mix,
     depth_overhead,
     GroupingResult,
     estimate_shots,
@@ -16,7 +17,8 @@ from hcbmeasure.grouping import (
 from hcbmeasure.groups import CommutingGroup, diagonalized_members, diagonalizing_circuit
 from hcbmeasure.hcb import extract_hcb, hcb_to_groups, run_protocol
 from hcbmeasure.integrals import IntegralTensors
-from hcbmeasure.paulis import PauliString, PauliSum
+from hcbmeasure.encoding import build_qubit_hamiltonian
+from hcbmeasure.paulis import PauliString, PauliSum, anticommutation_matrix
 from hcbmeasure.rotations import graph_rotation
 from hcbmeasure.circuits import Circuit
 from hcbmeasure.simulator import Statevector, rotation_circuit
@@ -141,6 +143,57 @@ def test_rlf_no_worse_than_lf_on_random_operators():
         if rlf_grouping(op).group_count <= lf_grouping(op).group_count:
             wins += 1
     assert wins >= 0.9 * trials
+
+
+def _rlf_reference(op: PauliSum) -> list[int]:
+    """RLF colours from the boolean anticommutation matrix in wide integer
+    sums, each admission taking the highest score and, among ties, the
+    smallest _mask_mix key."""
+    conflict, keys = anticommutation_matrix(op), _mask_mix(op.x, op.z)
+
+    def best(allowed, score):
+        masked = np.where(allowed, score, -1)
+        top = np.flatnonzero(masked == masked.max())
+        return int(top[np.argmin(keys[top])])
+
+    colors = np.full(len(op), -1)
+    uncolored = np.ones(len(op), dtype=bool)
+    degree = conflict.sum(axis=1)
+    color = 0
+    while uncolored.any():
+        in_class = [best(uncolored, degree)]
+        excluded = conflict[in_class[0]] & uncolored
+        candidates = uncolored & ~excluded
+        candidates[in_class[0]] = False
+        score = conflict[excluded].sum(axis=0)
+        while candidates.any():
+            in_class.append(best(candidates, score))
+            newly = conflict[in_class[-1]] & candidates
+            score += conflict[newly].sum(axis=0)
+            candidates &= ~newly
+            candidates[in_class[-1]] = False
+        colors[in_class] = color
+        uncolored[in_class] = False
+        degree -= conflict[in_class].sum(axis=0)
+        color += 1
+    return colors.tolist()
+
+
+def _colors_by_string(result) -> dict:
+    return {string: k for k, group in enumerate(result.groups) for string, _ in group.members}
+
+
+@pytest.mark.parametrize("ordering", ["interleaved", "reordered"])
+def test_rlf_matches_the_wide_integer_reference(h4_tensors, ordering):
+    """Packed rows, narrow int16 sums and the one masked argmax keep every
+    colour, on the H4 line and on random operators dense with score ties."""
+    rng = np.random.default_rng(3)
+    ops = [build_qubit_hamiltonian(h4_tensors, ordering)]
+    ops += [_random_operator(rng, n, size) for n, size in ((3, 20), (4, 60), (6, 120))]
+    for op in ops:
+        colors = _rlf_reference(op)
+        expected = {string: colors[i] for i, (string, _) in enumerate(op.terms())}
+        assert _colors_by_string(rlf_grouping(op)) == expected
 
 
 def test_diagonalizer_certified(h4_operator):

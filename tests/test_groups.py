@@ -4,10 +4,13 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcbmeasure.circuits import Circuit
 from hcbmeasure.groups import (
     CommutingGroup,
+    canonical_diagonalizer,
     conjugate_pauli,
     diagonalized_members,
     diagonalizing_circuit,
@@ -209,6 +212,78 @@ def test_diagonalization_preserves_spectrum_of_random_commuting_groups(n):
         _assert_diagonalizes_spectrum(CommutingGroup(PauliSum(n, dict(members))))
 
 
+def _random_commuting_group(n: int, seed: int, style: str) -> CommutingGroup:
+    """Distinct Z strings, the identity among them half the time, sent
+    through one Clifford: a random circuit ("scrambled"), CNOTs then H and S
+    on every qubit, which turns each Z string into a Y string ("y-heavy"),
+    or nothing ("z-only")."""
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, min(12, 1 << n) + 1))
+    z_masks = set(rng.choice(1 << n, size=size, replace=False).tolist())
+    if rng.integers(2):
+        z_masks.add(0)
+    scramble = Circuit(n)
+    if style == "scrambled":
+        scramble = _random_circuit(rng, n, 4 * n)
+    elif style == "y-heavy":
+        for _ in range(n if n > 1 else 0):
+            a, b = rng.choice(n, size=2, replace=False)
+            scramble.add("CNOT", int(a), int(b))
+        for q in range(n):
+            scramble.add("H", q)
+            scramble.add("S", q)
+    members = {}
+    for z in sorted(z_masks):
+        image, sign = _conjugate_one(PauliString(n, 0, z), scramble)
+        members[image] = sign * float(rng.normal())
+    return CommutingGroup(PauliSum(n, members))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
+       style=st.sampled_from(["scrambled", "y-heavy", "z-only"]))
+def test_canonical_images_match_the_conjugation_oracle(n, seed, style):
+    """The closed-form images and signs are diagonalized_members on the
+    returned circuit, which is the canonical form: CNOT fan-out from the
+    pivots, then CZ/S among them, then H on each pivot once."""
+    group = _random_commuting_group(n, seed, style)
+    form = canonical_diagonalizer(group)
+    circuit = diagonalizing_circuit(group)
+    assert circuit.gates == form.circuit().gates
+    layers = [{"CNOT": 0, "CZ": 1, "S": 1, "H": 2}[gate.name] for gate in circuit.gates]
+    assert layers == sorted(layers)
+    for gate in circuit.gates:
+        on_pivots = [q in form.pivots for q in gate.qubits]
+        assert on_pivots == ([True, False] if gate.name == "CNOT" else [True] * len(on_pivots))
+    assert [gate.qubits[0] for gate in circuit.gates if gate.name == "H"] == list(form.pivots)
+    if style == "z-only":
+        assert len(circuit) == 0
+    z, signs = diagonalized_members(group, circuit)
+    images, image_signs = form.images(group.op)
+    assert np.array_equal(images, z)
+    assert np.array_equal(image_signs, signs)
+    if n <= 4:
+        _assert_diagonalizes_spectrum(group)
+
+
+def test_canonical_form_certifies_without_the_commutation_check(monkeypatch):
+    """With check_commuting off, the symmetry of the pivot matrix and the
+    diagonal images still reject groups that do not commute."""
+    monkeypatch.setattr(CommutingGroup, "check_commuting", lambda self: None)
+    with pytest.raises(ValueError, match="^group 'g': the pivot matrix of qubits 0 and 1 "
+                                         "is not symmetric$"):
+        canonical_diagonalizer(_group(2, ("X0", 1.0), ("Z0 X1", 1.0), label="g"))
+    group = _group(1, ("X0", 1.0), ("Z0", 1.0))
+    with pytest.raises(ValueError, match="^canonical form failed to diagonalize Z0$"):
+        canonical_diagonalizer(group).images(group.op)
+
+
+def test_canonical_images_reject_other_qubit_counts():
+    form = canonical_diagonalizer(_group(2, ("X0 X1", 1.0)))
+    with pytest.raises(ValueError, match="qubit counts differ"):
+        form.images(_group(3, ("X0 X1", 1.0)).op)
+
+
 def _diagonalization_digest(groups):
     data = []
     for group in groups:
@@ -230,15 +305,15 @@ def _groups(request, system, method):
 
 
 # sha256 of every group's gate list, diagonal z-masks and folded-coefficient
-# bits: a change to the elimination, the pivot choice or the sign rules shows
+# bits: a change to the canonical form, the pivot choice or the sign rules shows
 PINNED_DIAGONALIZATIONS = [
-    ("h4", "lf", 29, "483a67bdbc0b9ebf9b2f4930923554dd7813adc82767b0c414280806afbedeed"),
-    ("h4", "rlf", 19, "7d6c7d984e7d9f4c76dc21c3f2a1c5fe4e21dbd05047cb842b3b373a6aed4778"),
-    ("h4", "si", 19, "b1e7efb85b04a5c810cebf3ddb8c19c1106b279ead4ae5e5e61fe14857e42fad"),
-    ("h6", "lf", 101, "c4dc46b26899538f42268bef2a86a3f606b557f1f50f59a68bddd65f8335cbe0"),
-    ("h6", "rlf", 62, "275066b56a9170d62eac26d3671a151cf43c5b6f80fc0d04a217886452414783"),
-    ("h6", "si", 70, "49681ab52ded554ba239bfd54ed390594f2d99949eb2997af7c0b7f795992143"),
-    ("h4", "protocol", 9, "d2f24dbaff3da99ad4a91e125b51a1e2439f055eca0c5323634988698ae0013f"),
+    ("h4", "lf", 29, "e9dc21152619e7506cfb4dc38fcd941ce68a78e134e8da4c255fc4591b65dfcc"),
+    ("h4", "rlf", 19, "35e90a459255e32799f25ef253b8ecdb55942c5dbd295f6de67962d9945046f8"),
+    ("h4", "si", 19, "739b381fa70e12ff59d354d0b76cdad27c7cb443746cc4543e4fc87c9331e695"),
+    ("h6", "lf", 101, "6c429d225175b1bb0093ca2489ac6b43a16f4ba14336b4881414c8e05db400de"),
+    ("h6", "rlf", 62, "2bcb6f692cbd223a4c823186e448bb6a505a2c36802897410992537b5b8a27ec"),
+    ("h6", "si", 70, "0c0d9429d0f0d3b66bfc615d96788805cbe2915346b0ce1ad818a18caae35f61"),
+    ("h4", "protocol", 9, "70927c1319b63615d18a0d00540c1e46b3ade031fc64baffacf8692490a632cc"),
 ]
 
 

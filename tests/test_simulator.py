@@ -21,8 +21,14 @@ from hcbmeasure.encoding import (
     jw_encode,
     spin_orbital_index,
 )
-from hcbmeasure.grouping import si_grouping
-from hcbmeasure.groups import CommutingGroup, diagonalized_members, diagonalizing_circuit
+from hcbmeasure.grouping import lf_grouping, rlf_grouping, si_grouping
+from hcbmeasure.hcb import run_protocol
+from hcbmeasure.groups import (
+    CommutingGroup,
+    canonical_diagonalizer,
+    diagonalized_members,
+    diagonalizing_circuit,
+)
 from hcbmeasure.integrals import IntegralTensors
 from hcbmeasure.paulis import PauliString, PauliSum
 from hcbmeasure.rotations import (
@@ -41,6 +47,7 @@ from hcbmeasure.simulator import (
     _parity,
     _row_sums,
     _sector_cost,
+    _support_probabilities,
     _PreparedGroup,
     _x_patterns,
     apply_circuit,
@@ -689,6 +696,85 @@ def test_sample_group_matches_the_per_member_loop(monkeypatch, h4_operator, h4_g
                 energy += sign * coeff * mean
             np.testing.assert_allclose(sample.member_estimates, estimates, rtol=0, atol=1e-15)
             assert abs(sample.energy - energy) < 1e-12
+
+
+def _scattered_state(n_qubits: int, seed: int) -> Statevector:
+    """Random complex amplitudes on about half of the basis states."""
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
+    amps[rng.random(1 << n_qubits) < 0.5] = 0.0
+    return Statevector(n_qubits, amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("system", ["h4", "h6"])
+def test_prepared_outcomes_are_the_full_vector_path(request, system):
+    """On the support, the outcomes and probabilities are the nonzero entries
+    of apply_circuit(state, circuit).probabilities() bit for bit, and the CDF
+    is that vector's cumulative sum at those entries."""
+    op = request.getfixturevalue(f"{system}_operator")
+    _, ground = request.getfixturevalue(f"{system}_ground")
+    groups = [g for grouping in (lf_grouping, rlf_grouping, si_grouping)
+              for g in grouping(op).groups]
+    for state in (ground, _scattered_state(op.n_qubits, 7)):
+        for group in groups:
+            form = canonical_diagonalizer(group)
+            full = apply_circuit(state, diagonalizing_circuit(group)).probabilities()
+            nonzero = np.flatnonzero(full)
+            values, probs = _support_probabilities(state, form)
+            assert np.array_equal(values, nonzero)
+            assert np.array_equal(probs, full[nonzero])
+            prepared = _PreparedGroup.build(state, group)
+            cdf = full.cumsum()
+            cdf /= cdf[-1]
+            assert np.array_equal(prepared.values, nonzero)
+            assert np.array_equal(prepared.cdf, cdf[nonzero])
+
+
+@pytest.mark.parametrize("system", ["h4", "h6", "h8"])
+def test_prepared_distributions_give_every_member_value(request, system):
+    """<P> from each prepared group's outcome distribution, signed by its
+    closed-form image, is pauli_expectations' value on the LF, RLF, SI and
+    protocol groups."""
+    op = request.getfixturevalue(f"{system}_operator")
+    _, state = request.getfixturevalue(f"{system}_ground")
+    records = run_protocol(request.getfixturevalue(f"{system}_tensors"),
+                           request.getfixturevalue(f"{system}_rotations"), state)
+    groups = [g for grouping in (lf_grouping, rlf_grouping, si_grouping)
+              for g in grouping(op).groups]
+    groups += [g for record in records for g in record.groups]
+    values = []
+    for group in groups:
+        prepared = _PreparedGroup.build(state, group)
+        probs = np.diff(prepared.cdf, prepend=0.0)
+        z_masks = prepared.z_masks.astype(prepared.values.dtype)
+        parities = _parity(prepared.values[None, :], z_masks[:, None])
+        values.append(prepared.signs * ((1.0 - 2.0 * parities) @ probs))
+    exact = pauli_expectations(state, np.concatenate([g.op.x for g in groups]),
+                               np.concatenate([g.op.z for g in groups]))
+    assert np.max(np.abs(np.concatenate(values) - exact)) < 1e-12
+
+
+@pytest.mark.parametrize("shots", [np.nan, np.inf, -np.inf, -5.0, -1e-12])
+def test_finite_sample_rejects_bad_shot_budgets(shots):
+    group = CommutingGroup(PauliSum(1, {PauliString.from_label(1, "Z0"): 1.0}), label="SI-3")
+    state = Statevector.computational_basis(1)
+    with pytest.raises(ValueError, match="^group 'SI-3': shot budget must be finite and "
+                                         "non-negative, got "):
+        finite_sample_experiment([(group, state, 4), (group, state, shots)], repetitions=2,
+                                 seed=0)
+
+
+@pytest.mark.parametrize("shots,drawn", [(0, 1), (0.0, 1), (0.2, 1), (3, 3), (2.5, 3)])
+def test_finite_sample_draws_ceil_shots_and_at_least_one(shots, drawn):
+    group = CommutingGroup(PauliSum(1, {PauliString.from_label(1, "Z0"): 1.0}))
+    state = Statevector.computational_basis(1)
+    assert finite_sample_experiment([(group, state, shots)], 2, seed=0).total_shots == drawn
+
+
+def test_prepared_group_rejects_other_qubit_counts():
+    group = CommutingGroup(PauliSum(2, {PauliString.from_label(2, "Z0"): 1.0}))
+    with pytest.raises(ValueError, match="^group and state qubit counts differ$"):
+        _PreparedGroup.build(Statevector.computational_basis(1), group)
 
 
 def test_finite_sample_identity_only_has_zero_error():
