@@ -75,6 +75,41 @@ def _spin_counts(states: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.
     return np.bitwise_count(states & up), np.bitwise_count(states & down)
 
 
+def _orbital_table(n_qubits: int, ordering: str) -> np.ndarray:
+    """qubit_table of the layout for a state on n_qubits; raises on an odd count."""
+    if n_qubits % 2:
+        raise ValueError(f"state has {n_qubits} qubits, expected two per orbital")
+    return qubit_table(n_qubits // 2, ordering)
+
+
+def _support(state: Statevector) -> np.ndarray:
+    """The basis states where the state's amplitude is nonzero, ascending."""
+    return np.flatnonzero(state.amplitudes != 0)
+
+
+def _held_blocks(support: np.ndarray, table: np.ndarray) -> list[tuple[int, int]]:
+    """The (N_alpha, N_beta) blocks of the basis states in support, ascending."""
+    held = np.zeros((len(table) + 1,) * 2, dtype=bool)
+    held[_spin_counts(support, table)] = True
+    return [tuple(block) for block in np.argwhere(held).tolist()]
+
+
+def _block_states(table: np.ndarray, blocks: list[tuple[int, int]]) -> np.ndarray:
+    """The basis states of the layout's (N_alpha, N_beta) blocks, ascending.
+
+    strings[o, s] is the bitmask that the orbital occupation o (bit k for
+    orbital k) sets on spin s's qubits; a block's states are every up
+    string of N_alpha orbitals OR every down string of N_beta.
+    """
+    n = len(table)
+    occupations = np.arange(1 << n, dtype=np.int64)
+    counts = np.bitwise_count(occupations)
+    strings = ((occupations[:, None] >> np.arange(n)) & 1) @ (np.int64(1) << table)
+    parts = [(strings[counts == a, 0, None] | strings[counts == b, 1]).ravel()
+             for a, b in blocks]
+    return np.sort(np.concatenate([np.empty(0, dtype=np.int64), *parts]))
+
+
 def _annihilated(amps: np.ndarray, targets: np.ndarray, removed: np.ndarray,
                  sign_masks: np.ndarray) -> np.ndarray:
     """Rows <t| a_.. |psi> over the basis states t in targets, one per bitmask
@@ -97,59 +132,71 @@ def spin_rdms(
     O = G^updown + G^downup, so
     <H> = e_nuc + sum h*D + 1/2 sum g*G in the IntegralTensors convention
     (see integrals.rdm_expectation).  D is the sum over s of the Gram
-    matrices of the vectors a_ks psi, and each G^st one Gram matrix of the
-    n^2 vectors a_lt a_ks psi, both taken over the basis states of the
-    (N_alpha, N_beta) blocks those vectors reach from the blocks psi holds.
-    No block is assumed, so a state spanning several is exact too.  The
-    traces are checked against <N> and <N(N-1)> before returning.
+    matrices of the vectors a_ks psi, and G^upup, G^updown and G^downdown
+    each one Gram matrix of the n^2 vectors a_lt a_ks psi; swapping both
+    pairs gives G^downup[k,l,m,n] = G^updown[l,k,n,m].  The Gram matrices
+    are taken over the basis states of the (N_alpha, N_beta) blocks those
+    vectors reach from the blocks psi holds, built from the layout's spin
+    strings (_block_states), so past the one read of the support no array
+    spans the 2^n basis.  No block is assumed, so a state spanning several
+    is exact too.  A state with no imaginary part is handled in real
+    arithmetic.  All three arrays are complex.  The traces are checked
+    against <N> and <N(N-1)> before returning.
     """
-    n_qubits = state.n_qubits
-    if n_qubits % 2:
-        raise ValueError(f"state has {n_qubits} qubits, expected two per orbital")
-    n = n_qubits // 2
-    table = qubit_table(n, ordering)
+    table = _orbital_table(state.n_qubits, ordering)
+    n = len(table)
     bits = np.int64(1) << table
     amps = state.amplitudes
-    idx = np.arange(len(amps), dtype=np.int64)
-    n_alpha, n_beta = _spin_counts(idx, table)
-    held = np.zeros((n + 3, n + 3), dtype=bool)  # padded for up to two removals
-    nonzero = amps != 0
-    held[n_alpha[nonzero], n_beta[nonzero]] = True
+    support = _support(state)
+    held = _held_blocks(support, table)
+    if not np.any(amps[support].imag):
+        amps = amps.real
 
-    def reached(*spins: int) -> np.ndarray:
-        """The basis states of the blocks left after removing one electron per spin."""
-        return idx[held[n_alpha + spins.count(0), n_beta + spins.count(1)]]
+    def gram(spins: tuple[int, ...], removed: np.ndarray, sign_masks: np.ndarray) -> np.ndarray:
+        """The Gram matrix of the rows _annihilated returns, over the states
+        of the blocks left after removing one electron per entry of spins."""
+        a, b = spins.count(0), spins.count(1)
+        targets = _block_states(table, [(na - a, nb - b) for na, nb in held
+                                        if na >= a and nb >= b])
+        rows = _annihilated(amps, targets, removed, sign_masks)
+        return np.conj(rows) @ rows.T
 
     one_rdm = 0
     for s in (0, 1):
-        rows = _annihilated(amps, reached(s), bits[:, s], bits[:, s] - 1)
-        one_rdm = one_rdm + np.conj(rows) @ rows.T
+        one_rdm = one_rdm + gram((s,), bits[:, s], bits[:, s] - 1)
     blocks = {}
-    for s in (0, 1):
-        for t in (0, 1):
-            # row (k, l) is a_lt a_ks psi: a_ks acts first, so the row flips sign
-            # when lt's qubit sits below ks's and vanishes when they are one qubit
-            p, q = bits[:, s, None], bits[None, :, t]
-            rows = _annihilated(amps, reached(s, t), (p | q).ravel(), ((p - 1) ^ (q - 1)).ravel())
-            rows *= np.sign(q - p).reshape(-1, 1)
-            blocks[s, t] = (np.conj(rows) @ rows.T).reshape((n,) * 4)
-    two_rdm = sum(blocks.values())
+    for s, t in ((0, 0), (0, 1), (1, 1)):
+        # row (k, l) is a_lt a_ks psi = sign(q - p) times the row for the
+        # removed pair p | q: a_ks acts first, so the row flips sign when lt's
+        # qubit q sits below ks's qubit p, and it vanishes when they are one
+        # qubit.  Same-spin (k, l) and (l, k) share that row, so the Gram
+        # matrix is taken once per distinct pair and signed afterwards.
+        p, q = bits[:, s, None], bits[None, :, t]
+        pairs, first, which = np.unique((p | q).ravel(), return_index=True,
+                                        return_inverse=True)
+        signs = np.sign(q - p).ravel()
+        pair_gram = gram((s, t), pairs, ((p - 1) ^ (q - 1)).ravel()[first])
+        blocks[s, t] = (np.outer(signs, signs) * pair_gram[np.ix_(which, which)]
+                        ).reshape((n,) * 4)
+    blocks[1, 0] = blocks[0, 1].transpose(1, 0, 3, 2)
+    two_rdm = blocks[0, 0] + blocks[0, 1] + blocks[1, 0] + blocks[1, 1]
     _check_rdms(state, one_rdm, two_rdm)
-    return one_rdm, two_rdm, blocks[0, 1] + blocks[1, 0]
+    return (one_rdm.astype(complex, copy=False), two_rdm.astype(complex, copy=False),
+            (blocks[0, 1] + blocks[1, 0]).astype(complex, copy=False))
 
 
 def spin_blocks(state: Statevector, ordering: str = "interleaved") -> list[tuple[int, int]]:
     """The (N_alpha, N_beta) blocks of the layout that hold the state's
-    nonzero amplitudes, ascending."""
-    n_alpha, n_beta = _spin_counts(np.flatnonzero(state.amplitudes),
-                                   qubit_table(state.n_qubits // 2, ordering))
-    return sorted(set(zip(n_alpha.tolist(), n_beta.tolist())))
+    nonzero amplitudes, ascending.  Raises on an odd qubit count."""
+    return _held_blocks(_support(state), _orbital_table(state.n_qubits, ordering))
 
 
 def _check_rdms(state: Statevector, one_rdm: np.ndarray, two_rdm: np.ndarray) -> None:
-    """Raise unless D is Hermitian, tr D = <N> and sum_kl G[k,l,k,l] = <N(N-1)>."""
-    probs = state.probabilities()
-    counts = np.bitwise_count(np.arange(len(probs), dtype=np.int64)).astype(float)
+    """Raise unless D is Hermitian, tr D = <N> and sum_kl G[k,l,k,l] = <N(N-1)>,
+    the expectations read on the state's support."""
+    support = _support(state)
+    probs = np.abs(state.amplitudes[support]) ** 2
+    counts = np.bitwise_count(support).astype(float)
     gaps = {
         "1-RDM Hermiticity": float(np.max(np.abs(one_rdm - one_rdm.conj().T))),
         "1-RDM trace vs <N>": abs(np.trace(one_rdm) - probs @ counts),
@@ -507,19 +554,28 @@ def pauli_expectations(state: Statevector, x: np.ndarray, z: np.ndarray) -> np.n
     taken only over the basis states b where both amplitudes are nonzero;
     their values are one product of a sign matrix (-1)^|b & z|, one row per
     distinct z_mask and at most SIGN_BLOCK entries at a time, with that
-    overlap, times each string's i^|x&z|.  Repeated strings are evaluated
-    once.  Raises ValueError on masks beyond the state's qubits.
+    overlap, times each string's i^|x&z|.  A state with no imaginary part
+    is evaluated on float64 overlaps, one product per sign matrix, whose
+    values are the complex evaluation's (bit for bit wherever a sign matrix
+    has two rows or more).  Repeated strings are evaluated once.  Raises
+    ValueError unless x and z are 1-D and of equal length, and on masks
+    beyond the state's qubits.
     """
     x, z = np.asarray(x, dtype=np.uint64), np.asarray(z, dtype=np.uint64)
+    if x.ndim != 1 or x.shape != z.shape:
+        raise ValueError(f"x and z must be 1-D mask arrays of equal length, "
+                         f"got shapes {x.shape} and {z.shape}")
     if np.any((x | z) >> state.n_qubits):
         raise ValueError(f"masks out of range for the state's {state.n_qubits} qubits")
     amps = state.amplitudes
-    support = np.flatnonzero(amps)
+    support = _support(state)
     psi = amps[support]
+    if not np.any(psi.imag):
+        amps, psi = amps.real, psi.real
     values = np.empty(len(x))
     for x_mask, by_z in _x_patterns(x, z).items():
         overlap = np.conj(amps[support ^ x_mask]) * psi
-        reached = np.flatnonzero(overlap)
+        reached = np.flatnonzero(overlap != 0)
         basis, overlap = support[reached], overlap[reached]
         z_masks = list(by_z)
         step = max(1, SIGN_BLOCK // max(1, len(basis)))
@@ -527,7 +583,8 @@ def pauli_expectations(state: Statevector, x: np.ndarray, z: np.ndarray) -> np.n
             block = z_masks[lo:lo + step]
             z_block = np.array(block, dtype=np.int64)
             signs = 1.0 - 2.0 * _parity(basis[None, :], z_block[:, None])
-            re, im = signs @ overlap.real, signs @ overlap.imag
+            re = signs @ overlap.real
+            im = signs @ overlap.imag if np.iscomplexobj(overlap) else np.zeros_like(re)
             # the real part of i^p (re + i im), p = |x & z| mod 4
             power = np.bitwise_count(z_block & x_mask) % 4
             for z_mask, value in zip(block, np.choose(power, (re, -im, -re, im)).tolist()):
@@ -731,10 +788,11 @@ class GroupSample:
 
 
 def _support_probabilities(
-    state: Statevector, form: CanonicalDiagonalizer
+    state: Statevector, form: CanonicalDiagonalizer, support: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(outcomes, probabilities) of measuring the state after form's circuit,
-    over the nonzero outcomes in ascending order, with no 2^n vector.
+    over the nonzero outcomes in ascending order, with no 2^n vector;
+    support is _support(state).
 
     The CNOT fan-out and the CZ/S network send each support state b to one
     basis state at a power of i: one XOR and one phase per state.  The H
@@ -743,7 +801,6 @@ def _support_probabilities(
     in the circuit's pivot order, so the probabilities equal the
     full-vector path's bit for bit.
     """
-    support = np.flatnonzero(state.amplitudes != 0)
     amps = state.amplitudes[support] * _I_POWERS[form.phase_exponents(support) % 4]
     cosets, where = np.unique((support & ~form.pivot_mask) ^ form.fanout_flips(support),
                               return_inverse=True)
@@ -790,12 +847,14 @@ class _PreparedGroup:
     cdf: np.ndarray
 
     @classmethod
-    def build(cls, state: Statevector, group: CommutingGroup) -> "_PreparedGroup":
+    def build(cls, state: Statevector, group: CommutingGroup,
+              support: np.ndarray) -> "_PreparedGroup":
+        """The group prepared on the state, whose support is _support(state)."""
         if group.n_qubits != state.n_qubits:
             raise ValueError("group and state qubit counts differ")
         form = canonical_diagonalizer(group)
         z_masks, signs = form.images(group.op)
-        values, probs = _support_probabilities(state, form)
+        values, probs = _support_probabilities(state, form, support)
         cdf = probs.cumsum()
         cdf /= cdf[-1]
         return cls(group.label, z_masks.astype(np.int64), signs * group.op.coeffs, signs,
@@ -826,7 +885,7 @@ def sample_group(
     """Measure all members of a fully-commuting group with shared shots."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    return _PreparedGroup.build(state, group).draw(shots, rng)
+    return _PreparedGroup.build(state, group, _support(state)).draw(shots, rng)
 
 
 @dataclass
@@ -853,11 +912,31 @@ class SampledEnergies:
         return float(abs(np.mean(self.energies) - self.exact))
 
 
+def _by_state(plan: list[tuple[CommutingGroup, Statevector, float]]
+              ) -> dict[int, tuple[Statevector, list[CommutingGroup]]]:
+    """id(state) -> (state, its groups in plan order), for each distinct
+    state object of the plan's (group, state, shots) entries."""
+    states: dict[int, tuple[Statevector, list[CommutingGroup]]] = {}
+    for group, state, _ in plan:
+        states.setdefault(id(state), (state, []))[1].append(group)
+    return states
+
+
 def exact_plan_energy(plan: list[tuple[CommutingGroup, Statevector, float]]) -> float:
-    """The sum of every (group, state, shots) entry's exact <group>, in plan order."""
+    """The sum of every (group, state, shots) entry's exact <group>, in plan
+    order; each distinct state's members are evaluated in one
+    pauli_expectations call."""
+    values = {}  # id(state) -> iterator over its groups' member values, in plan order
+    for key, (state, groups) in _by_state(plan).items():
+        if any(group.n_qubits != state.n_qubits for group in groups):
+            raise ValueError("operator and state qubit counts differ")
+        members = pauli_expectations(state, np.concatenate([g.op.x for g in groups]),
+                                     np.concatenate([g.op.z for g in groups]))
+        ends = np.cumsum([len(g.op.x) for g in groups])[:-1]
+        values[key] = iter(np.split(members, ends))
     exact = 0.0
     for group, state, _ in plan:
-        exact += expectation(state, group.op)
+        exact += float(group.op.coeffs @ next(values[id(state)]))
     return exact
 
 
@@ -893,7 +972,8 @@ def finite_sample_experiment(
     counts = [_shot_count(group, shots) for group, _, shots in plan]
     rng = np.random.default_rng(seed)
     exact = exact_plan_energy(plan)
-    prepared = [(_PreparedGroup.build(state, group), shots)
+    supports = {key: _support(state) for key, (state, _) in _by_state(plan).items()}
+    prepared = [(_PreparedGroup.build(state, group, supports[id(state)]), shots)
                 for (group, state, _), shots in zip(plan, counts)]
     energies = np.empty(repetitions)
     for rep in range(repetitions):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from hcbmeasure.encoding import build_qubit_hamiltonian, spin_orbital_index
+import hcbmeasure.simulator as simulator
+from hcbmeasure.encoding import build_qubit_hamiltonian, qubit_table, spin_orbital_index
 from hcbmeasure.geometry import build_geometry
 from hcbmeasure.integrals import IntegralTensors, minimal_basis_integrals
 from hcbmeasure.paulis import PauliString, PauliSum
@@ -180,6 +181,70 @@ def spin_orbital_rdms(state, ordering):
     blocks = {(s1, s2): two[np.ix_(so[:, s1], so[:, s2], so[:, s1], so[:, s2])]
               for s1 in (0, 1) for s2 in (0, 1)}
     return one_rdm, sum(blocks.values()), blocks[0, 1] + blocks[1, 0]
+
+
+def full_space_spin_rdms(state, ordering):
+    """Reference for simulator.spin_rdms: the full-space builder it replaced.
+
+    Every (N_alpha, N_beta) target block is read off all 2^n basis states,
+    the rows and their four Gram matrices are complex, and G^downup is a
+    Gram matrix of its own.
+    """
+    n = state.n_qubits // 2
+    table = qubit_table(n, ordering)
+    bits = np.int64(1) << table
+    amps = state.amplitudes
+    idx = np.arange(len(amps), dtype=np.int64)
+    up, down = (1 << table).sum(axis=0)
+    n_alpha, n_beta = np.bitwise_count(idx & up), np.bitwise_count(idx & down)
+    held = np.zeros((n + 3, n + 3), dtype=bool)  # padded for up to two removals
+    nonzero = amps != 0
+    held[n_alpha[nonzero], n_beta[nonzero]] = True
+
+    def rows(removed, sign_masks, *spins):
+        targets = idx[held[n_alpha + spins.count(0), n_beta + spins.count(1)]]
+        free = (targets[None, :] & removed[:, None]) == 0
+        signs = 1.0 - 2.0 * _parity(targets[None, :], sign_masks[:, None])
+        return np.where(free, signs * amps[targets[None, :] | removed[:, None]], 0.0)
+
+    one_rdm = 0
+    for s in (0, 1):
+        r = rows(bits[:, s], bits[:, s] - 1, s)
+        one_rdm = one_rdm + np.conj(r) @ r.T
+    blocks = {}
+    for s in (0, 1):
+        for t in (0, 1):
+            p, q = bits[:, s, None], bits[None, :, t]
+            r = rows((p | q).ravel(), ((p - 1) ^ (q - 1)).ravel(), s, t)
+            r *= np.sign(q - p).reshape(-1, 1)
+            blocks[s, t] = (np.conj(r) @ r.T).reshape((n,) * 4)
+    return one_rdm, sum(blocks.values()), blocks[0, 1] + blocks[1, 0]
+
+
+def complex_pauli_expectations(state, x, z):
+    """Reference for simulator.pauli_expectations: its complex path, taken
+    on every state, with two sign-matrix products per block of at most
+    simulator.SIGN_BLOCK entries."""
+    x, z = np.asarray(x, dtype=np.uint64), np.asarray(z, dtype=np.uint64)
+    amps = state.amplitudes
+    support = np.flatnonzero(amps)
+    psi = amps[support]
+    values = np.empty(len(x))
+    for x_mask, by_z in _x_patterns(x, z).items():
+        overlap = np.conj(amps[support ^ x_mask]) * psi
+        reached = np.flatnonzero(overlap)
+        basis, overlap = support[reached], overlap[reached]
+        z_masks = list(by_z)
+        step = max(1, simulator.SIGN_BLOCK // max(1, len(basis)))
+        for lo in range(0, len(z_masks), step):
+            block = z_masks[lo:lo + step]
+            z_block = np.array(block, dtype=np.int64)
+            signs = 1.0 - 2.0 * _parity(basis[None, :], z_block[:, None])
+            re, im = signs @ overlap.real, signs @ overlap.imag
+            power = np.bitwise_count(z_block & x_mask) % 4
+            for z_mask, value in zip(block, np.choose(power, (re, -im, -re, im)).tolist()):
+                values[by_z[z_mask]] = value
+    return values
 
 
 def random_tensors(n, seed, e_nuc=0.0):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from conftest import (
+    full_space_spin_rdms,
     group_union,
     membership_digest,
     random_tensors,
@@ -407,16 +408,43 @@ def test_rdm_energy_is_rotation_invariant(n, seed, ordering):
 @given(n=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
        ordering=st.sampled_from(ORDERINGS), data=st.data())
 def test_spin_rdms_match_the_spin_orbital_oracle(n, seed, ordering, data):
-    """Random states in one (N_alpha, N_beta) block or spread over several."""
+    """Random complex states in one (N_alpha, N_beta) block or spread over
+    several, and their real parts, against the spin-orbital oracle and the
+    full-space builder."""
     blocks = data.draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)),
                                 min_size=1, max_size=3, unique=True))
     weights = np.random.default_rng(seed).normal(size=len(blocks))
     amps = sum(w * _random_block_state(n, a, b, seed + i, ordering).amplitudes
                for i, (w, (a, b)) in enumerate(zip(weights, blocks)))
-    state = Statevector(2 * n, amps / np.linalg.norm(amps))
-    for got, want in zip(spin_rdms(state, ordering), spin_orbital_rdms(state, ordering)):
-        assert got.shape == (n,) * got.ndim
-        assert np.max(np.abs(got - want)) <= 1e-13
+    complex_state = Statevector(2 * n, amps / np.linalg.norm(amps))
+    real_state = Statevector(2 * n, amps.real / np.linalg.norm(amps.real))
+    for state in (complex_state, real_state):
+        got = spin_rdms(state, ordering)
+        for oracle in (spin_orbital_rdms, full_space_spin_rdms):
+            for array, want in zip(got, oracle(state, ordering)):
+                assert array.shape == (n,) * array.ndim
+                assert array.dtype == complex
+                assert np.max(np.abs(array - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+@pytest.mark.parametrize("system", ["h2", "h4", "h6", "h8"])
+def test_spin_rdms_match_the_full_space_builder_on_ground_states(request, system, ordering):
+    """The real path on each ground state, and the complex path on a
+    global-phase copy of it, within 1e-13 of the full-space builder."""
+    tensors = request.getfixturevalue(f"{system}_tensors")
+    if ordering == "interleaved":
+        _, state = request.getfixturevalue(f"{system}_ground")
+    else:
+        op = build_qubit_hamiltonian(tensors, ordering)
+        _, state = ground_state(op, tensors.n_orbitals, ordering=ordering)
+    assert not np.any(state.amplitudes.imag)
+    phased = Statevector(state.n_qubits, np.exp(0.7j) * state.amplitudes)
+    for psi in (state, phased):
+        for got, want in zip(spin_rdms(psi, ordering), full_space_spin_rdms(psi, ordering)):
+            assert got.dtype == complex
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_rdm_checks_reject_corrupted_pairs(h4_ground):

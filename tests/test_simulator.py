@@ -10,7 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse
-from conftest import block_operator_oracle, circuit_unitary, full_vector_expectation, y_phase
+from conftest import (
+    block_operator_oracle,
+    circuit_unitary,
+    complex_pauli_expectations,
+    full_vector_expectation,
+    y_phase,
+)
 from scipy.linalg import expm
 
 import hcbmeasure.simulator as simulator
@@ -47,11 +53,13 @@ from hcbmeasure.simulator import (
     _parity,
     _row_sums,
     _sector_cost,
+    _support,
     _support_probabilities,
     _PreparedGroup,
     _x_patterns,
     apply_circuit,
     build_pair_ansatz,
+    exact_plan_energy,
     expectation,
     finite_sample_experiment,
     ground_state,
@@ -61,6 +69,7 @@ from hcbmeasure.simulator import (
     rotation_circuit,
     sample_group,
     spin_blocks,
+    spin_rdms,
 )
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -590,6 +599,50 @@ def test_pauli_expectations_match_the_full_vector_path(monkeypatch, seed, zeros,
         pauli_expectations(state, [8], [0])
 
 
+@pytest.mark.parametrize("system", ["h4", "h6"])
+def test_pauli_expectations_equal_the_complex_path(request, monkeypatch, system):
+    """The real path on the ground state, and the complex path on a
+    global-phase copy of it and on a scattered random state, against the
+    all-complex evaluation: the Hamiltonian's strings and the LF groups'
+    members.
+
+    Every sign matrix of at least two rows goes through one matrix-vector
+    product on both paths, so those values agree bit for bit.  A one-row
+    matrix goes through a dot product, which NumPy sums in another order for
+    the complex path's strided real part, so with every block cut to one
+    row the values agree to rounding only.
+    """
+    op = request.getfixturevalue(f"{system}_operator")
+    _, ground = request.getfixturevalue(f"{system}_ground")
+    groups = lf_grouping(op).groups
+    x = np.concatenate([op.x, *(g.op.x for g in groups)])
+    z = np.concatenate([op.z, *(g.op.z for g in groups)])
+    phased = Statevector(op.n_qubits, np.exp(0.3j) * ground.amplitudes)
+    states = (ground, phased, _scattered_state(op.n_qubits, 2))
+    for state in states:
+        assert np.array_equal(pauli_expectations(state, x, z),
+                              complex_pauli_expectations(state, x, z))
+    monkeypatch.setattr(simulator, "SIGN_BLOCK", 1)
+    for state in states:
+        got, want = pauli_expectations(state, x, z), complex_pauli_expectations(state, x, z)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("x,z", [([0, 1], [1]), ([1], []), ([[0, 1]], [[1, 0]]), (1, 1)])
+def test_pauli_expectations_reject_mask_arrays_of_other_shapes(x, z):
+    state = Statevector.computational_basis(2)
+    with pytest.raises(ValueError, match="^x and z must be 1-D mask arrays of equal length"):
+        pauli_expectations(state, x, z)
+
+
+def test_spin_blocks_and_rdms_reject_odd_qubit_counts():
+    """An electron on the top qubit of five has no orbital pair."""
+    state = Statevector.computational_basis(5, 1 << 4)
+    for read in (spin_blocks, spin_rdms):
+        with pytest.raises(ValueError, match="^state has 5 qubits, expected two per orbital$"):
+            read(state)
+
+
 def test_expectation_linearity():
     rng = np.random.default_rng(3)
     state = _random_state(3, 4)
@@ -664,7 +717,7 @@ def test_draws_keep_the_choice_random_stream(name, shots):
     n = len(probs).bit_length() - 1
     state = Statevector(n, np.sqrt(probs))
     group = _group(n, ("Z0", 1.0))
-    prepared = _PreparedGroup.build(state, group)
+    prepared = _PreparedGroup.build(state, group, _support(state))
     p = state.probabilities()
     p = p / p.sum()
     for seed in (0, 1, 2024):
@@ -720,10 +773,10 @@ def test_prepared_outcomes_are_the_full_vector_path(request, system):
             form = canonical_diagonalizer(group)
             full = apply_circuit(state, diagonalizing_circuit(group)).probabilities()
             nonzero = np.flatnonzero(full)
-            values, probs = _support_probabilities(state, form)
+            values, probs = _support_probabilities(state, form, _support(state))
             assert np.array_equal(values, nonzero)
             assert np.array_equal(probs, full[nonzero])
-            prepared = _PreparedGroup.build(state, group)
+            prepared = _PreparedGroup.build(state, group, _support(state))
             cdf = full.cumsum()
             cdf /= cdf[-1]
             assert np.array_equal(prepared.values, nonzero)
@@ -744,7 +797,7 @@ def test_prepared_distributions_give_every_member_value(request, system):
     groups += [g for record in records for g in record.groups]
     values = []
     for group in groups:
-        prepared = _PreparedGroup.build(state, group)
+        prepared = _PreparedGroup.build(state, group, _support(state))
         probs = np.diff(prepared.cdf, prepend=0.0)
         z_masks = prepared.z_masks.astype(prepared.values.dtype)
         parities = _parity(prepared.values[None, :], z_masks[:, None])
@@ -773,8 +826,30 @@ def test_finite_sample_draws_ceil_shots_and_at_least_one(shots, drawn):
 
 def test_prepared_group_rejects_other_qubit_counts():
     group = CommutingGroup(PauliSum(2, {PauliString.from_label(2, "Z0"): 1.0}))
+    state = Statevector.computational_basis(1)
     with pytest.raises(ValueError, match="^group and state qubit counts differ$"):
-        _PreparedGroup.build(Statevector.computational_basis(1), group)
+        _PreparedGroup.build(state, group, _support(state))
+
+
+def test_exact_plan_energy_is_the_sum_of_entry_expectations(h4_operator, h4_ground):
+    """Entries on two states, interleaved, one group repeated: the one call
+    per distinct state gives each entry its own group's value, in plan order.
+    The sampler reports that reference and prepares each entry on its own
+    state's support: its draws are those of entries prepared one by one."""
+    _, ground = h4_ground
+    other = _scattered_state(h4_operator.n_qubits, 3)
+    groups = lf_grouping(h4_operator).groups
+    plan = [(group, (ground, other)[k % 2], 50) for k, group in enumerate(groups)]
+    plan.append(plan[0])
+    want = sum(expectation(state, group.op) for group, state, _ in plan)
+    exact = exact_plan_energy(plan)
+    assert abs(exact - want) <= 1e-12
+    result = finite_sample_experiment(plan, repetitions=2, seed=4)
+    assert result.exact == exact
+    rng = np.random.default_rng(4)
+    one_by_one = [sum(_PreparedGroup.build(state, group, _support(state)).draw(shots, rng).energy
+                      for group, state, shots in plan) for _ in range(2)]
+    assert result.energies.tolist() == one_by_one
 
 
 def test_finite_sample_identity_only_has_zero_error():
