@@ -89,6 +89,13 @@ _FLOAT = "%.12e"
 # configuration schema
 
 
+def _check_min(key: str, value: int | None, floor: int) -> None:
+    """Raise ValueError, naming the key, unless the value is unset or at
+    least floor: 0 for counts and seeds (NumPy takes no negative seed)."""
+    if value is not None and value < floor:
+        raise ValueError(f"{key} must be >= {floor}, got {value}")
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """Where the molecular tensors come from.
@@ -105,6 +112,11 @@ class SystemSpec:
     xyz: str | None = None
     fcidump: str | None = None
     orbital_mode: str = "lowdin"
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.spacing) and self.spacing > 0):
+            raise ValueError(f"system.spacing must be finite and positive, got {self.spacing}")
+        _check_min("system.seed", self.seed, 0)
 
     def label(self) -> str:
         if self.fcidump:
@@ -136,6 +148,10 @@ class RotationSpec:
     random_count: int = 0
     random_seed: int = 0
 
+    def __post_init__(self) -> None:
+        for key in ("auto_graphs", "random_count", "random_seed"):
+            _check_min(f"rotations.{key}", getattr(self, key), 0)
+
 
 @dataclass(frozen=True)
 class AnsatzSpec:
@@ -147,8 +163,8 @@ class AnsatzSpec:
     seed: int = 11
 
     def __post_init__(self) -> None:
-        if self.restarts < 1:
-            raise ValueError(f"ansatz.restarts must be >= 1, got {self.restarts}")
+        _check_min("ansatz.restarts", self.restarts, 1)
+        _check_min("ansatz.seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -160,6 +176,11 @@ class BatchSpec:
     count: int = 100
     seed: int = 3000
     random_rotations: int = 50
+
+    def __post_init__(self) -> None:
+        _check_min("batch.count", self.count, 1)
+        _check_min("batch.seed", self.seed, 0)
+        _check_min("batch.random_rotations", self.random_rotations, 0)
 
 
 @dataclass(frozen=True)
@@ -190,8 +211,8 @@ class ExperimentConfig:
             raise ValueError("scenario I forbids an 'ansatz' section")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        _check_min("repetitions", self.repetitions, 1)
+        _check_min("seed", self.seed, 0)
         if not self.prune_threshold >= 0:
             raise ValueError("prune_threshold must be >= 0")
         if self.max_steps is not None and self.max_steps < 1:

@@ -60,8 +60,8 @@ def build_geometry(
     """
     if n_atoms < 2:
         raise ValueError(f"need at least 2 atoms, got {n_atoms}")
-    if spacing <= 0:
-        raise ValueError(f"spacing must be positive, got {spacing}")
+    if not (np.isfinite(spacing) and spacing > 0):
+        raise ValueError(f"spacing must be finite and positive, got {spacing}")
     if shape != "random" and spacing <= 0.3:
         raise ValueError(f"spacing {spacing} A is unphysically tight for shape {shape!r}")
 

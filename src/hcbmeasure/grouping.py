@@ -23,7 +23,7 @@ import numpy as np
 from .circuits import Circuit, Gate
 from .groups import CommutingGroup
 from .paulis import PauliSum, anticommutation_rows
-from .simulator import pauli_expectations
+from .simulator import group_values
 
 GROUPING_METHODS = ("LF", "RLF", "SI")
 
@@ -207,20 +207,16 @@ def _group_shot_counts(
     A weighted string c P takes c^2 (1 - <P>^2) / epsilon^2 shots, its
     single-term sampling variance over epsilon^2; identity terms carry no
     variance and cost nothing, and so does an empty group.  Every member's
-    <P> comes from one pauli_expectations call, so a string pattern shared
-    across groups is evaluated once.
+    <P> comes from one group_values call, so a string pattern shared across
+    groups is evaluated once.
     """
-    if any(group.n_qubits != state.n_qubits for group in groups):
-        raise ValueError("group and state qubit counts differ")
-    x = np.concatenate([group.op.x for group in groups])
-    z = np.concatenate([group.op.z for group in groups])
-    coeffs = np.concatenate([group.op.coeffs for group in groups])
-    values = pauli_expectations(state, x, z)
-    shots = coeffs**2 * np.maximum(0.0, 1.0 - values**2) / epsilon**2
-    shots[(x == 0) & (z == 0)] = 0.0
-    ends = np.cumsum([len(group.op) for group in groups])
-    return [float(shots[end - len(group.op):end].max(initial=0.0))
-            for group, end in zip(groups, ends.tolist())]
+    counts = []
+    for group, values in zip(groups, group_values(groups, state)):
+        op = group.op
+        shots = op.coeffs**2 * np.maximum(0.0, 1.0 - values**2) / epsilon**2
+        shots[(op.x == 0) & (op.z == 0)] = 0.0
+        counts.append(float(shots.max(initial=0.0)))
+    return counts
 
 
 def _check_epsilon(epsilon: float) -> None:

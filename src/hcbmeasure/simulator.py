@@ -29,7 +29,7 @@ DENSE_EIG_LIMIT = 1024
 NORM_TOL = 1e-10
 LEAK_TOL = 1e-9  # largest element a ground-state block may send out of itself
 RDM_TOL = 1e-10  # largest Hermiticity or trace gap a built RDM may show
-SIGN_BLOCK = 1 << 21  # entries of one pauli_expectations sign matrix (16 MiB)
+SIGN_BLOCK = 1 << 21  # entries of one _signed_sums sign matrix (16 MiB)
 START_SPREAD = 0.8  # optimize_ansatz draws start angles from [-START_SPREAD, START_SPREAD]
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -56,6 +56,8 @@ class Statevector:
 
     @classmethod
     def computational_basis(cls, n_qubits: int, bits: int = 0) -> "Statevector":
+        if not 0 <= bits < 1 << n_qubits:
+            raise ValueError(f"basis state {bits} out of range for {n_qubits} qubits")
         amps = np.zeros(1 << n_qubits, dtype=complex)
         amps[bits] = 1.0
         return cls(n_qubits, amps)
@@ -66,13 +68,6 @@ class Statevector:
 
 def _parity(values: np.ndarray, mask: int) -> np.ndarray:
     return np.bitwise_count(values & mask) & 1
-
-
-def _spin_counts(states: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(N_alpha, N_beta) of each basis state under the layout's qubit table
-    (see encoding.qubit_table)."""
-    up, down = (1 << table).sum(axis=0)
-    return np.bitwise_count(states & up), np.bitwise_count(states & down)
 
 
 def _orbital_table(n_qubits: int, ordering: str) -> np.ndarray:
@@ -88,9 +83,11 @@ def _support(state: Statevector) -> np.ndarray:
 
 
 def _held_blocks(support: np.ndarray, table: np.ndarray) -> list[tuple[int, int]]:
-    """The (N_alpha, N_beta) blocks of the basis states in support, ascending."""
+    """The (N_alpha, N_beta) blocks of the basis states in support, ascending,
+    under the layout's qubit table (see encoding.qubit_table)."""
+    up, down = (1 << table).sum(axis=0)
     held = np.zeros((len(table) + 1,) * 2, dtype=bool)
-    held[_spin_counts(support, table)] = True
+    held[np.bitwise_count(support & up), np.bitwise_count(support & down)] = True
     return [tuple(block) for block in np.argwhere(held).tolist()]
 
 
@@ -148,8 +145,9 @@ def spin_rdms(
     bits = np.int64(1) << table
     amps = state.amplitudes
     support = _support(state)
+    psi = amps[support]
     held = _held_blocks(support, table)
-    if not np.any(amps[support].imag):
+    if not np.any(psi.imag):
         amps = amps.real
 
     def gram(spins: tuple[int, ...], removed: np.ndarray, sign_masks: np.ndarray) -> np.ndarray:
@@ -180,7 +178,7 @@ def spin_rdms(
                         ).reshape((n,) * 4)
     blocks[1, 0] = blocks[0, 1].transpose(1, 0, 3, 2)
     two_rdm = blocks[0, 0] + blocks[0, 1] + blocks[1, 0] + blocks[1, 1]
-    _check_rdms(state, one_rdm, two_rdm)
+    _check_rdms(support, psi, one_rdm, two_rdm)
     return (one_rdm.astype(complex, copy=False), two_rdm.astype(complex, copy=False),
             (blocks[0, 1] + blocks[1, 0]).astype(complex, copy=False))
 
@@ -191,11 +189,11 @@ def spin_blocks(state: Statevector, ordering: str = "interleaved") -> list[tuple
     return _held_blocks(_support(state), _orbital_table(state.n_qubits, ordering))
 
 
-def _check_rdms(state: Statevector, one_rdm: np.ndarray, two_rdm: np.ndarray) -> None:
+def _check_rdms(support: np.ndarray, psi: np.ndarray, one_rdm: np.ndarray,
+                two_rdm: np.ndarray) -> None:
     """Raise unless D is Hermitian, tr D = <N> and sum_kl G[k,l,k,l] = <N(N-1)>,
-    the expectations read on the state's support."""
-    support = _support(state)
-    probs = np.abs(state.amplitudes[support]) ** 2
+    the expectations read on the state's support and its amplitudes psi."""
+    probs = np.abs(psi) ** 2
     counts = np.bitwise_count(support).astype(float)
     gaps = {
         "1-RDM Hermiticity": float(np.max(np.abs(one_rdm - one_rdm.conj().T))),
@@ -502,17 +500,15 @@ def _sector_cost(ansatz: PairAnsatz, op: PauliSum):
 
 
 def _cost_on_block(ansatz: PairAnsatz, block: np.ndarray, mat: scipy.sparse.csr_matrix):
-    outside = np.ones(1 << (2 * ansatz.n_orbitals), dtype=bool)
-    outside[block] = False
     half = ansatz.n_electrons // 2
 
     def cost(params: np.ndarray) -> float:
         amps = ansatz.prepare(params).amplitudes
-        if np.any(amps[outside]):
+        v = amps[block]
+        if np.count_nonzero(amps) != np.count_nonzero(v):  # a nonzero outside the block
             raise ValueError(
                 f"prepared state leaves the {ansatz.n_electrons}-electron sector's "
                 f"(N_alpha, N_beta) = ({half}, {half}) block")
-        v = amps[block]
         # a real-valued state meets a real block in a real product; the dot
         # stays complex, since a real one rounds differently and L-BFGS-B's
         # finite differences amplify a last-bit change
@@ -533,63 +529,71 @@ def _real_value(total: complex) -> float:
     return float(total.real)
 
 
-def _x_patterns(x: np.ndarray, z: np.ndarray) -> dict[int, dict[int, list[int]]]:
-    """x_mask -> z_mask -> positions of the (x, z) mask pairs, every level
-    in order of first appearance.
+def _x_runs(x: np.ndarray) -> list[tuple[int, int, int]]:
+    """(x_mask, lo, hi) of each run x[lo:hi] of one mask, in order; x holds
+    each X-pattern as one run.
 
-    Every string of an x_mask bucket maps basis state b to b ^ x_mask, so
-    pauli_expectations takes one overlap per bucket.  The block builder
-    reads a PauliSum, whose sorted masks already hold each bucket as a run.
+    Every string of a run maps basis state b to b ^ x_mask, so
+    pauli_expectations takes one overlap per run and _block_operator one
+    set of targets.
     """
-    buckets: dict[int, dict[int, list[int]]] = {}
-    for i, (x_mask, z_mask) in enumerate(zip(x.tolist(), z.tolist())):
-        buckets.setdefault(x_mask, {}).setdefault(z_mask, []).append(i)
-    return buckets
+    bounds = [0, *(np.flatnonzero(x[1:] != x[:-1]) + 1).tolist(), len(x)]
+    return [(int(x[lo]), lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+
+
+def _signed_sums(basis: np.ndarray, weights: np.ndarray, z_masks: np.ndarray) -> np.ndarray:
+    """sum_b weights[b] (-1)^|basis[b] & z| for each z in z_masks: one sign
+    matrix product, a row per z_mask, at most SIGN_BLOCK entries at a time."""
+    sums = np.empty(len(z_masks))
+    step = max(1, SIGN_BLOCK // max(1, len(basis)))
+    for lo in range(0, len(z_masks), step):
+        signs = 1.0 - 2.0 * _parity(basis[None, :], z_masks[lo:lo + step, None])
+        sums[lo:lo + step] = signs @ weights
+    return sums
 
 
 def pauli_expectations(state: Statevector, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """<P> of every string P(x[i], z[i]), in one pass per distinct X-pattern.
 
-    The strings sharing an x_mask share the overlap conj(psi[b ^ x]) psi[b],
-    taken only over the basis states b where both amplitudes are nonzero;
-    their values are one product of a sign matrix (-1)^|b & z|, one row per
-    distinct z_mask and at most SIGN_BLOCK entries at a time, with that
-    overlap, times each string's i^|x&z|.  A state with no imaginary part
-    is evaluated on float64 overlaps, one product per sign matrix, whose
-    values are the complex evaluation's (bit for bit wherever a sign matrix
-    has two rows or more).  Repeated strings are evaluated once.  Raises
-    ValueError unless x and z are 1-D and of equal length, and on masks
-    beyond the state's qubits.
+    The distinct strings, ordered by x_mask and then by first appearance,
+    hold each X-pattern as one run (_x_runs).  The strings of a run share
+    the overlap conj(psi[b ^ x]) psi[b], taken only over the basis states b
+    where both amplitudes are nonzero; their values are the _signed_sums of
+    that overlap's real and imaginary parts over the run's z_masks, times
+    each string's i^|x&z|.  A state with no imaginary part is evaluated on
+    float64 overlaps, one product per sign matrix, whose values are the
+    complex evaluation's (bit for bit wherever a sign matrix has two rows
+    or more).  Repeated strings are evaluated once.  Raises ValueError
+    unless x and z are 1-D and of equal length, and on masks beyond the
+    state's qubits.
     """
     x, z = np.asarray(x, dtype=np.uint64), np.asarray(z, dtype=np.uint64)
     if x.ndim != 1 or x.shape != z.shape:
         raise ValueError(f"x and z must be 1-D mask arrays of equal length, "
                          f"got shapes {x.shape} and {z.shape}")
-    if np.any((x | z) >> state.n_qubits):
-        raise ValueError(f"masks out of range for the state's {state.n_qubits} qubits")
+    n = state.n_qubits
+    if np.any((x | z) >> n):
+        raise ValueError(f"masks out of range for the state's {n} qubits")
+    keys, first, inverse = np.unique((x << n) | z, return_index=True, return_inverse=True)
+    order = np.lexsort((first, keys >> n))  # by x_mask, then by first appearance
+    x, z = keys[order] >> n, (keys[order] & ((1 << n) - 1)).astype(np.int64)
     amps = state.amplitudes
     support = _support(state)
     psi = amps[support]
     if not np.any(psi.imag):
         amps, psi = amps.real, psi.real
-    values = np.empty(len(x))
-    for x_mask, by_z in _x_patterns(x, z).items():
+    values = np.empty(len(keys))
+    for x_mask, lo, hi in _x_runs(x):
         overlap = np.conj(amps[support ^ x_mask]) * psi
         reached = np.flatnonzero(overlap != 0)
         basis, overlap = support[reached], overlap[reached]
-        z_masks = list(by_z)
-        step = max(1, SIGN_BLOCK // max(1, len(basis)))
-        for lo in range(0, len(z_masks), step):
-            block = z_masks[lo:lo + step]
-            z_block = np.array(block, dtype=np.int64)
-            signs = 1.0 - 2.0 * _parity(basis[None, :], z_block[:, None])
-            re = signs @ overlap.real
-            im = signs @ overlap.imag if np.iscomplexobj(overlap) else np.zeros_like(re)
-            # the real part of i^p (re + i im), p = |x & z| mod 4
-            power = np.bitwise_count(z_block & x_mask) % 4
-            for z_mask, value in zip(block, np.choose(power, (re, -im, -re, im)).tolist()):
-                values[by_z[z_mask]] = value
-    return values
+        re = _signed_sums(basis, overlap.real, z[lo:hi])
+        im = (_signed_sums(basis, overlap.imag, z[lo:hi]) if np.iscomplexobj(overlap)
+              else np.zeros_like(re))
+        # the real part of i^p (re + i im), p = |x & z| mod 4
+        power = np.bitwise_count(z[lo:hi] & x_mask) % 4
+        values[lo:hi] = np.choose(power, (re, -im, -re, im))
+    return values[np.argsort(order)[inverse]]
 
 
 def expectation(state: Statevector, op: PauliSum) -> float:
@@ -607,15 +611,11 @@ def expectation(state: Statevector, op: PauliSum) -> float:
 def _spin_block(op: PauliSum, n_electrons: int, ordering: str) -> tuple[np.ndarray, int]:
     """(block states ascending, Nα): the basis states with n_electrons set
     bits, Nα = ceil(N/2) of them on the layout's spin-up qubits."""
-    n_qubits = op.n_qubits
-    if n_qubits % 2:
-        raise ValueError(f"operator acts on {n_qubits} qubits, expected two per orbital")
-    if not 0 <= n_electrons <= n_qubits:
-        raise ValueError(f"n_electrons {n_electrons} out of range for {n_qubits} qubits")
+    table = _orbital_table(op.n_qubits, ordering)
+    if not 0 <= n_electrons <= op.n_qubits:
+        raise ValueError(f"n_electrons {n_electrons} out of range for {op.n_qubits} qubits")
     n_up = (n_electrons + 1) // 2
-    idx = np.arange(1 << n_qubits, dtype=np.int64)
-    n_alpha, n_beta = _spin_counts(idx, qubit_table(n_qubits // 2, ordering))
-    return idx[(n_alpha == n_up) & (n_beta == n_electrons - n_up)], n_up
+    return _block_states(table, [(n_up, n_electrons - n_up)]), n_up
 
 
 def _row_sums(rows: np.ndarray) -> np.ndarray:
@@ -663,9 +663,7 @@ def _block_operator(
     """
     block, n_up = _spin_block(op, n_electrons, ordering)
     dim = len(block)
-    # a basis state's row in the block; -1 elsewhere in the N sector, -2 outside it
-    position = np.full(1 << op.n_qubits, -2, dtype=np.int32)
-    position[np.bitwise_count(np.arange(1 << op.n_qubits)) == n_electrons] = -1
+    position = np.full(1 << op.n_qubits, -1, dtype=np.int32)  # a basis state's row in the block
     position[block] = np.arange(dim)
     z_masks = op.z.astype(np.int64)
     y_counts = np.bitwise_count(op.x & op.z)
@@ -673,8 +671,7 @@ def _block_operator(
     real = not np.any(y_counts & 1)
     if real:
         phased = np.ascontiguousarray(phased.real)
-    x_masks, starts = np.unique(op.x, return_index=True)
-    runs = list(zip(x_masks.tolist(), starts.tolist(), [*starts[1:].tolist(), len(op.x)]))
+    runs = _x_runs(op.x)
     counts = np.zeros(dim, dtype=np.int64)
     for x_mask, _, _ in runs:
         counts += position[block ^ x_mask] >= 0
@@ -687,11 +684,11 @@ def _block_operator(
     mirror = np.empty(dim, dtype=phased.dtype)  # the current pattern's elements by source
     leak = herm_gap = 0.0
     for x_mask, lo, hi in runs:
-        tgt = position[block ^ x_mask]
-        src = (tgt != -2).nonzero()[0]
+        targets = block ^ x_mask
+        src = np.flatnonzero(np.bitwise_count(targets) == n_electrons)  # in the N sector
         if not src.size:
             continue
-        tgt = tgt[src]
+        tgt = position[targets[src]]
         signs = 1.0 - 2.0 * _parity(block[src], z_masks[lo:hi, None])
         amp = _row_sums(phased[lo:hi, None] * signs)  # entry <target| op |source>
         inside = tgt >= 0
@@ -865,14 +862,7 @@ class _PreparedGroup:
 
     def draw(self, shots: int, rng: np.random.Generator) -> GroupSample:
         values, counts = np.unique(self.outcomes(shots, rng), return_counts=True)
-        weights = counts / shots
-        # <Z-string> per member: a members x outcomes sign matrix against
-        # the outcome weights, at most SIGN_BLOCK entries at a time
-        means = np.empty(len(self.z_masks))
-        step = max(1, SIGN_BLOCK // len(values))
-        for start in range(0, len(means), step):
-            block = self.z_masks[start:start + step, None]
-            means[start:start + step] = (1.0 - 2.0 * _parity(values, block)) @ weights
+        means = _signed_sums(values, counts / shots, self.z_masks)  # <Z-string> per member
         return GroupSample(self.label, shots, self.signs * means, float(self.folded @ means))
 
 
@@ -883,8 +873,8 @@ def sample_group(
     rng: np.random.Generator,
 ) -> GroupSample:
     """Measure all members of a fully-commuting group with shared shots."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
+        raise ValueError(f"shots must be a positive integer, got {shots!r}")
     return _PreparedGroup.build(state, group, _support(state)).draw(shots, rng)
 
 
@@ -922,18 +912,25 @@ def _by_state(plan: list[tuple[CommutingGroup, Statevector, float]]
     return states
 
 
+def group_values(groups: list[CommutingGroup], state: Statevector) -> list[np.ndarray]:
+    """<P> of each group's members on the state, one array per group in
+    member order, from one pauli_expectations call over them all; [] for
+    no groups."""
+    if any(group.n_qubits != state.n_qubits for group in groups):
+        raise ValueError("group and state qubit counts differ")
+    if not groups:
+        return []
+    values = pauli_expectations(state, np.concatenate([g.op.x for g in groups]),
+                                np.concatenate([g.op.z for g in groups]))
+    return np.split(values, np.cumsum([len(g.op) for g in groups])[:-1])
+
+
 def exact_plan_energy(plan: list[tuple[CommutingGroup, Statevector, float]]) -> float:
     """The sum of every (group, state, shots) entry's exact <group>, in plan
-    order; each distinct state's members are evaluated in one
-    pauli_expectations call."""
-    values = {}  # id(state) -> iterator over its groups' member values, in plan order
-    for key, (state, groups) in _by_state(plan).items():
-        if any(group.n_qubits != state.n_qubits for group in groups):
-            raise ValueError("operator and state qubit counts differ")
-        members = pauli_expectations(state, np.concatenate([g.op.x for g in groups]),
-                                     np.concatenate([g.op.z for g in groups]))
-        ends = np.cumsum([len(g.op.x) for g in groups])[:-1]
-        values[key] = iter(np.split(members, ends))
+    order; each distinct state's members are evaluated in one group_values
+    call."""
+    values = {key: iter(group_values(groups, state))  # in plan order
+              for key, (state, groups) in _by_state(plan).items()}
     exact = 0.0
     for group, state, _ in plan:
         exact += float(group.op.coeffs @ next(values[id(state)]))

@@ -16,8 +16,6 @@ from hcbmeasure.simulator import (
     LEAK_TOL,
     Statevector,
     _parity,
-    _spin_block,
-    _x_patterns,
     apply_circuit,
     ground_state,
 )
@@ -109,16 +107,39 @@ def y_phase(x_mask: int, z_mask: int) -> complex:
     return 1.0j ** ((x_mask & z_mask).bit_count() % 4)
 
 
+def x_patterns(x, z) -> dict[int, dict[int, list[int]]]:
+    """x_mask -> z_mask -> positions of the (x, z) mask pairs, every level
+    in order of first appearance: the X-pattern buckets pauli_expectations
+    read before it read runs of its sorted distinct strings."""
+    buckets: dict[int, dict[int, list[int]]] = {}
+    for i, (x_mask, z_mask) in enumerate(zip(x.tolist(), z.tolist())):
+        buckets.setdefault(x_mask, {}).setdefault(z_mask, []).append(i)
+    return buckets
+
+
+def spin_block_scan(op, n_electrons: int, ordering: str):
+    """Reference for simulator._spin_block: (block states ascending, N_alpha),
+    the block read off a scan of all 2^n basis states."""
+    n_qubits = op.n_qubits
+    n_up = (n_electrons + 1) // 2
+    idx = np.arange(1 << n_qubits, dtype=np.int64)
+    up, down = (1 << qubit_table(n_qubits // 2, ordering)).sum(axis=0)
+    keep = (np.bitwise_count(idx & up) == n_up) & (np.bitwise_count(idx & down)
+                                                  == n_electrons - n_up)
+    return idx[keep], n_up
+
+
 def block_operator_oracle(op, n_electrons: int, ordering: str):
-    """Oracle for simulator._block_operator: the same spin block and checks,
-    every element accumulated term by term in complex arithmetic."""
-    block, n_up = _spin_block(op, n_electrons, ordering)
+    """Oracle for simulator._block_operator: the same spin block, read off a
+    basis scan, and the same checks, every element accumulated term by term
+    in complex arithmetic."""
+    block, n_up = spin_block_scan(op, n_electrons, ordering)
     position = np.full(1 << op.n_qubits, -1, dtype=np.int64)
     position[block] = np.arange(len(block))
     rows, cols, vals = [], [], []
     leak = 0.0
     coeffs = op.coeffs.tolist()
-    for x_mask, by_z in _x_patterns(op.x, op.z).items():
+    for x_mask, by_z in x_patterns(op.x, op.z).items():
         target = block ^ x_mask
         src = np.flatnonzero(np.bitwise_count(target) == n_electrons)
         if len(src) == 0:
@@ -221,16 +242,19 @@ def full_space_spin_rdms(state, ordering):
     return one_rdm, sum(blocks.values()), blocks[0, 1] + blocks[1, 0]
 
 
-def complex_pauli_expectations(state, x, z):
-    """Reference for simulator.pauli_expectations: its complex path, taken
-    on every state, with two sign-matrix products per block of at most
-    simulator.SIGN_BLOCK entries."""
+def reference_pauli_expectations(state, x, z, complex_only=False):
+    """Reference for simulator.pauli_expectations: the evaluation it
+    replaced, over x_patterns buckets, with one sign-matrix product per part
+    and block of at most simulator.SIGN_BLOCK entries.  A state with no
+    imaginary part takes float64 overlaps unless complex_only is set."""
     x, z = np.asarray(x, dtype=np.uint64), np.asarray(z, dtype=np.uint64)
     amps = state.amplitudes
     support = np.flatnonzero(amps)
     psi = amps[support]
+    if not complex_only and not np.any(psi.imag):
+        amps, psi = amps.real, psi.real
     values = np.empty(len(x))
-    for x_mask, by_z in _x_patterns(x, z).items():
+    for x_mask, by_z in x_patterns(x, z).items():
         overlap = np.conj(amps[support ^ x_mask]) * psi
         reached = np.flatnonzero(overlap)
         basis, overlap = support[reached], overlap[reached]
@@ -240,11 +264,17 @@ def complex_pauli_expectations(state, x, z):
             block = z_masks[lo:lo + step]
             z_block = np.array(block, dtype=np.int64)
             signs = 1.0 - 2.0 * _parity(basis[None, :], z_block[:, None])
-            re, im = signs @ overlap.real, signs @ overlap.imag
+            re = signs @ overlap.real
+            im = signs @ overlap.imag if np.iscomplexobj(overlap) else np.zeros_like(re)
             power = np.bitwise_count(z_block & x_mask) % 4
             for z_mask, value in zip(block, np.choose(power, (re, -im, -re, im)).tolist()):
                 values[by_z[z_mask]] = value
     return values
+
+
+def complex_pauli_expectations(state, x, z):
+    """The complex path of reference_pauli_expectations, taken on every state."""
+    return reference_pauli_expectations(state, x, z, complex_only=True)
 
 
 def random_tensors(n, seed, e_nuc=0.0):

@@ -1,6 +1,7 @@
 """Experiment harness and CLI: every verb on the H4 line, determinism, errors."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,46 @@ def test_cli_zero_restarts_exits_1_with_error_json(tmp_path, capsys):
     assert captured.out == ""
     assert json.loads(captured.err) == {
         "error": "ValueError", "message": "ansatz.restarts must be >= 1, got 0"}
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"rotations": {"graphs": ["0-1,2-3"], "auto_graphs": -4}},
+     "rotations.auto_graphs must be >= 0, got -4"),
+    ({"rotations": {"graphs": ["0-1,2-3"], "random_count": -2}},
+     "rotations.random_count must be >= 0, got -2"),
+    ({"rotations": {"random_seed": -1}}, "rotations.random_seed must be >= 0, got -1"),
+    ({"batch": {"count": 0}}, "batch.count must be >= 1, got 0"),
+    ({"batch": {"seed": -5}}, "batch.seed must be >= 0, got -5"),
+    ({"batch": {"random_rotations": -1}}, "batch.random_rotations must be >= 0, got -1"),
+    ({"seed": -3}, "seed must be >= 0, got -3"),
+    ({"system": {"seed": -1}}, "system.seed must be >= 0, got -1"),
+    ({"scenario": "II", "ansatz": {"graphs": ["0-1,2-3"], "seed": -2}},
+     "ansatz.seed must be >= 0, got -2"),
+    ({"system": {"spacing": float("nan")}}, "system.spacing must be finite and positive, got nan"),
+    ({"system": {"spacing": "inf"}}, "system.spacing must be finite and positive, got inf"),
+    ({"system": {"spacing": 0}}, "system.spacing must be finite and positive, got 0.0"),
+])
+def test_config_rejects_out_of_range_counts_seeds_and_spacings(data, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        config_from_dict(data)
+
+
+@pytest.mark.parametrize("text,args,message", [
+    ("", ["--seed", "-3"], "seed must be >= 0, got -3"),
+    ("system: {spacing: .nan}\n", [], "system.spacing must be finite and positive, got nan"),
+    ("rotations: {graphs: ['0-1,2-3'], auto_graphs: -4, random_count: -2}\n", [],
+     "rotations.auto_graphs must be >= 0, got -4"),
+    ("batch: {count: 0}\n", [], "batch.count must be >= 1, got 0"),
+])
+def test_cli_out_of_range_values_exit_1_with_error_json(tmp_path, capsys, text, args, message):
+    config = tmp_path / "bad.yaml"
+    config.write_text(text)
+    verb = "decompose" if "batch" in text else "groups"
+    assert main([verb, "--config", str(config), "--out", str(tmp_path / "out"), *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "ValueError", "message": message}
+    assert not (tmp_path / "out").exists()
 
 
 # depth.csv of the H4 and H6 lines under three ranked graphs and two random

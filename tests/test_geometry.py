@@ -52,6 +52,9 @@ def test_invalid_inputs():
         build_geometry(1, 1.0, "line")
     with pytest.raises(ValueError):
         build_geometry(4, -1.0, "line")
+    for spacing in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^spacing must be finite and positive, got "):
+            build_geometry(4, spacing, "random", seed=0)
     with pytest.raises(ValueError):
         build_geometry(4, 0.1, "line")  # unphysically tight
     with pytest.raises(ValueError):

@@ -233,6 +233,13 @@ def test_an_empty_layer_group_costs_no_shots(h2_ground):
     assert per_group[0] == _per_member_budgets(groups[:1], state, 1e-3)[0] > 0.0
 
 
+def test_an_empty_protocol_run_costs_no_shots(h2_ground):
+    _, state = h2_ground
+    estimate = protocol_shot_estimate([], state, 1e-3)
+    assert estimate.labels == estimate.per_group == ()
+    assert estimate.total == 0.0
+
+
 def test_estimate_shots_epsilon_scaling(h2_operator, h2_ground):
     _, state = h2_ground
     grouping = si_grouping(h2_operator)

@@ -450,15 +450,17 @@ def test_spin_rdms_match_the_full_space_builder_on_ground_states(request, system
 def test_rdm_checks_reject_corrupted_pairs(h4_ground):
     _, state = h4_ground
     one_rdm, two_rdm, _ = spin_rdms(state)
-    _check_rdms(state, one_rdm, two_rdm)
+    support = np.flatnonzero(state.amplitudes)
+    psi = state.amplitudes[support]
+    _check_rdms(support, psi, one_rdm, two_rdm)
     skewed = one_rdm.copy()
     skewed[0, 1] += 1e-6
     with pytest.raises(ValueError, match="1-RDM Hermiticity gap"):
-        _check_rdms(state, skewed, two_rdm)
+        _check_rdms(support, psi, skewed, two_rdm)
     with pytest.raises(ValueError, match="1-RDM trace vs <N> gap"):
-        _check_rdms(state, 1.01 * one_rdm, two_rdm)
+        _check_rdms(support, psi, 1.01 * one_rdm, two_rdm)
     with pytest.raises(ValueError, match="2-RDM trace"):
-        _check_rdms(state, one_rdm, 1.01 * two_rdm)
+        _check_rdms(support, psi, one_rdm, 1.01 * two_rdm)
 
 
 def test_rdm_expectation_rejects_mismatched_shapes(h4_tensors):

@@ -15,6 +15,9 @@ from conftest import (
     circuit_unitary,
     complex_pauli_expectations,
     full_vector_expectation,
+    reference_pauli_expectations,
+    spin_block_scan,
+    x_patterns,
     y_phase,
 )
 from scipy.linalg import expm
@@ -27,7 +30,7 @@ from hcbmeasure.encoding import (
     jw_encode,
     spin_orbital_index,
 )
-from hcbmeasure.grouping import lf_grouping, rlf_grouping, si_grouping
+from hcbmeasure.grouping import estimate_shots, lf_grouping, rlf_grouping, si_grouping
 from hcbmeasure.hcb import run_protocol
 from hcbmeasure.groups import (
     CommutingGroup,
@@ -53,10 +56,10 @@ from hcbmeasure.simulator import (
     _parity,
     _row_sums,
     _sector_cost,
+    _spin_block,
     _support,
     _support_probabilities,
     _PreparedGroup,
-    _x_patterns,
     apply_circuit,
     build_pair_ansatz,
     exact_plan_energy,
@@ -122,6 +125,10 @@ def test_statevector_guards():
         Statevector(2, np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="n_qubits"):
         Statevector.computational_basis(MAX_QUBITS + 1)
+    for bits in (-1, 4, 7):
+        with pytest.raises(ValueError, match=f"^basis state {bits} out of range for 2 qubits$"):
+            Statevector.computational_basis(2, bits)
+    assert Statevector.computational_basis(2, np.int64(3)).amplitudes[3] == 1.0
     for bad in (np.nan, np.inf, complex(0.0, np.nan)):
         with pytest.raises(ValueError, match="^amplitudes must be finite$"):
             Statevector(2, [bad, 0, 0, 0])
@@ -328,7 +335,7 @@ def _n_sector_matrix(op: PauliSum, n_electrons: int):
     sector = idx[np.bitwise_count(idx) == n_electrons]
     rows, cols, vals = [], [], []
     coeffs = op.coeffs.tolist()
-    for x_mask, by_z in _x_patterns(op.x, op.z).items():
+    for x_mask, by_z in x_patterns(op.x, op.z).items():
         target = sector ^ x_mask
         src = np.flatnonzero(np.bitwise_count(target) == n_electrons)
         amp = np.zeros(len(src), dtype=complex)
@@ -445,6 +452,20 @@ def test_block_operator_is_the_oracle_in_real_arithmetic(request, system, orderi
         assert np.array_equal(mat.indptr, want.indptr)
         assert np.array_equal(mat.indices, want.indices)
         assert np.array_equal(mat.data, want.data.real)
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+@pytest.mark.parametrize("n_orbitals", [2, 4, 6, 8])
+def test_spin_block_is_the_basis_scan(n_orbitals, ordering):
+    """At the H2 to H8 sizes, for N and N - 1 electrons, the block built from
+    the layout's spin strings is the one a scan of all 2^n basis states reads."""
+    op = PauliSum(2 * n_orbitals, {})
+    for n_electrons in (n_orbitals - 1, n_orbitals):
+        block, n_up = _spin_block(op, n_electrons, ordering)
+        want, want_up = spin_block_scan(op, n_electrons, ordering)
+        assert n_up == want_up
+        assert block.dtype == want.dtype
+        assert np.array_equal(block, want)
 
 
 def _imaginary_hop() -> PauliSum:
@@ -628,6 +649,83 @@ def test_pauli_expectations_equal_the_complex_path(request, monkeypatch, system)
         assert np.max(np.abs(got - want)) <= 1e-14
 
 
+SIGN_BLOCKS = (1 << 21, 257, 64, 1)
+
+
+def _bit_equal(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+@pytest.mark.parametrize("system", ["h4", "h6"])
+def test_pauli_expectations_are_the_bucketed_reference(request, monkeypatch, system, ordering):
+    """The runs of the sorted distinct strings hold each X-pattern's rows in
+    the order the x_patterns buckets held them, so every value is the
+    reference's bit for bit, signed zeros included, with SIGN_BLOCK cutting
+    the sign matrices inside the runs: on the ground state and a pair-ansatz
+    state (real path) and a global-phase copy of the ground state (complex
+    path).  The masks are the Hamiltonian's strings, a third of them again
+    and odd-Y strings on the same X-patterns, shuffled."""
+    geometry = request.getfixturevalue(f"{system}_geometry")
+    tensors = request.getfixturevalue(f"{system}_tensors")
+    op = build_qubit_hamiltonian(tensors, ordering)
+    _, ground = ground_state(op, tensors.n_orbitals, ordering)
+    ansatz = build_pair_ansatz(distance_ranked_matchings(geometry.distances(), 2), ordering)
+    rng = np.random.default_rng(len(op))
+    paired = ansatz.prepare(rng.uniform(-1.0, 1.0, ansatz.n_parameters))
+    phased = Statevector(op.n_qubits, np.exp(0.4j) * ground.amplitudes)
+    picks = rng.permutation(np.concatenate([np.arange(len(op)),
+                                            rng.integers(len(op), size=len(op) // 3)]))
+    x, z = op.x[picks], op.z[picks]
+    odd = np.flatnonzero(x)[::3]
+    x = np.concatenate([x, x[odd]])
+    z = np.concatenate([z, z[odd] ^ (x[odd] & -x[odd])])  # flip the Z on the lowest X bit
+    assert len(np.unique(x)) > 1 and np.any(np.bitwise_count(x & z) & 1)
+    for block in SIGN_BLOCKS:
+        monkeypatch.setattr(simulator, "SIGN_BLOCK", block)
+        for state in (ground, paired, phased):
+            assert _bit_equal(pauli_expectations(state, x, z),
+                              reference_pauli_expectations(state, x, z))
+
+
+@pytest.mark.parametrize("block", SIGN_BLOCKS)
+def test_finite_sample_experiment_is_the_chunked_reference(monkeypatch, h4_operator,
+                                                          h4_ground, block):
+    """On an SI plan, the exact reference is the bucketed reference's sum
+    and each draw's member means are the chunked members x outcomes product
+    sampling took before _signed_sums, bit for bit."""
+    monkeypatch.setattr(simulator, "SIGN_BLOCK", block)
+    _, state = h4_ground
+    grouping = si_grouping(h4_operator)
+    plan = [(group, state, shots) for group, shots in
+            zip(grouping.groups, estimate_shots(grouping, state, 3e-3).per_group)]
+    result = finite_sample_experiment(plan, repetitions=3, seed=5)
+    groups = grouping.groups
+    values = reference_pauli_expectations(state, np.concatenate([g.op.x for g in groups]),
+                                          np.concatenate([g.op.z for g in groups]))
+    exact = 0.0
+    for group, members in zip(groups, np.split(values, np.cumsum([len(g.op) for g in groups]))):
+        exact += float(group.op.coeffs @ members)
+    rng = np.random.default_rng(5)
+    prepared = [(_PreparedGroup.build(state, group, _support(state)), max(1, int(np.ceil(shots))))
+                for group, state, shots in plan]
+    energies = []
+    for _ in range(3):
+        total = 0.0
+        for entry, shots in prepared:
+            outcomes, counts = np.unique(entry.outcomes(shots, rng), return_counts=True)
+            means = np.empty(len(entry.z_masks))
+            step = max(1, simulator.SIGN_BLOCK // len(outcomes))
+            for lo in range(0, len(means), step):
+                signs = 1.0 - 2.0 * _parity(outcomes, entry.z_masks[lo:lo + step, None])
+                means[lo:lo + step] = signs @ (counts / shots)
+            total += float(entry.folded @ means)
+        energies.append(total)
+    assert result.exact == exact
+    assert result.energies.tolist() == energies
+    assert max(len(g.op) for g in groups) > 1 and result.total_shots > 100
+
+
 @pytest.mark.parametrize("x,z", [([0, 1], [1]), ([1], []), ([[0, 1]], [[1, 0]]), (1, 1)])
 def test_pauli_expectations_reject_mask_arrays_of_other_shapes(x, z):
     state = Statevector.computational_basis(2)
@@ -673,8 +771,10 @@ def test_sample_group_stabilizer_is_exact():
     sample = sample_group(state, group, shots=3, rng=rng)
     # eigenstate: every shot returns the same outcome, estimate is exact
     assert sample.energy == pytest.approx(-1.5 + 0.5)
-    with pytest.raises(ValueError):
-        sample_group(state, group, shots=0, rng=rng)
+    for shots in (0, -2, 2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="^shots must be a positive integer, got "):
+            sample_group(state, group, shots=shots, rng=rng)
+    assert sample_group(state, group, shots=np.int64(3), rng=rng).energy == sample.energy
 
 
 def test_sample_group_unbiased_on_superposition():
