@@ -19,13 +19,22 @@ import argparse
 import dataclasses
 import json
 import sys
+from typing import NoReturn
 
 from .encoding import ORDERINGS
 from .experiments import COMMANDS, ExperimentConfig, load_config
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError, so main reports
+    them as error JSON like every other bad input; --help still exits 0."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hcbmeasure",
         description="Measurement-reduction experiments for paired-electron "
                     "Hamiltonians: integral generation, iterative grouping "
@@ -59,8 +68,8 @@ def _apply_overrides(config: ExperimentConfig,
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = load_config(args.config) if args.config else ExperimentConfig()
         config = _apply_overrides(config, args)
         payload = COMMANDS[args.verb](config)

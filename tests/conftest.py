@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse
 
 import hcbmeasure.simulator as simulator
-from hcbmeasure.encoding import build_qubit_hamiltonian, qubit_table, spin_orbital_index
+from hcbmeasure.encoding import ZERO_TOL, build_qubit_hamiltonian, qubit_table, spin_orbital_index
 from hcbmeasure.geometry import build_geometry
 from hcbmeasure.integrals import IntegralTensors, minimal_basis_integrals
 from hcbmeasure.paulis import PauliString, PauliSum
@@ -83,6 +83,31 @@ def membership_digest(groups) -> str:
         for g in groups
     ]
     return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+def jw_layer_groups(layer, ordering):
+    """Oracle for hcb.hcb_to_groups: the route it replaced, as three PauliSums.
+
+    The layer is Jordan-Wigner encoded unpruned.  Group 1 is every diagonal
+    string; an off-diagonal string above ZERO_TOL goes to group 2 when it
+    gives every orbital it touches one Y and to group 3 when it gives each
+    zero or two.  A string that fits neither raises.
+    """
+    op = build_qubit_hamiltonian(layer, ordering, 0.0)
+    pair_masks = (1 << qubit_table(layer.n_orbitals, ordering)).sum(axis=1).astype(np.uint64)
+    x, z = op.x[:, None], op.z[:, None]
+    untouched = (x & pair_masks) == 0
+    y_counts = np.bitwise_count(x & z & pair_masks)  # per string and orbital
+    diagonal = op.x == 0
+    kept = ~diagonal & (np.abs(op.coeffs) > ZERO_TOL)
+    one_y = kept & np.all(untouched | (y_counts == 1), axis=1)
+    paired_y = kept & np.all(untouched | (y_counts % 2 == 0), axis=1)
+    misfit = np.flatnonzero(kept & ~one_y & ~paired_y)
+    if len(misfit):
+        string, coeff = op.take(misfit[:1]).terms()[0]
+        raise ValueError(f"string {string} (coefficient {coeff:.3e}) does not fit "
+                         "any paired-layer group")
+    return op.take(diagonal), op.take(one_y), op.take(paired_y)
 
 
 def circuit_unitary(circuit) -> np.ndarray:

@@ -248,6 +248,34 @@ def test_cli_zero_restarts_exits_1_with_error_json(tmp_path, capsys):
         "error": "ValueError", "message": "ansatz.restarts must be >= 1, got 0"}
 
 
+@pytest.mark.parametrize("args,start", [
+    (["eigen", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["bogus"], "argument verb: invalid choice: 'bogus'"),
+    (["eigen", "--ordering", "bogus"], "argument --ordering: invalid choice: 'bogus'"),
+    (["eigen", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    ([], "the following arguments are required: verb"),
+])
+def test_cli_usage_errors_exit_1_with_error_json(tmp_path, capsys, args, start):
+    """Argument errors take the error-JSON path of every other bad input."""
+    assert main([*args, "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert set(error) == {"error", "message"}
+    assert error["error"] == "ValueError"
+    assert error["message"].startswith(start)
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: hcbmeasure")
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("data,message", [
     ({"rotations": {"graphs": ["0-1,2-3"], "auto_graphs": -4}},
      "rotations.auto_graphs must be >= 0, got -4"),

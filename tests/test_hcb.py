@@ -5,6 +5,7 @@ import pytest
 from conftest import (
     full_space_spin_rdms,
     group_union,
+    jw_layer_groups,
     membership_digest,
     random_tensors,
     spin_orbital_rdms,
@@ -13,6 +14,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hcbmeasure.encoding as encoding
 import hcbmeasure.hcb as hcb
 from hcbmeasure.encoding import ORDERINGS, ZERO_TOL, build_qubit_hamiltonian, qubit_table
 from hcbmeasure.geometry import build_geometry
@@ -40,6 +42,7 @@ from hcbmeasure.simulator import (
     expectation,
     ground_state,
     rotation_circuit,
+    spin_blocks,
     spin_rdms,
 )
 
@@ -210,6 +213,76 @@ def test_groups_hold_every_layer_string_above_zero_tol(n_atoms, ordering):
 def test_full_tensors_do_not_fit_the_paired_groups(h4_tensors):
     with pytest.raises(ValueError, match="does not fit any paired-layer group"):
         hcb_to_groups(h4_tensors)
+
+
+@pytest.mark.parametrize("size,fits", [(1e-13, False), (ZERO_TOL, True)])
+def test_an_entry_outside_the_layer_fits_only_up_to_zero_tol(h4_tensors, size, fits):
+    """An off-layer hopping h[0,1] above ZERO_TOL raises, naming the entry;
+    one at ZERO_TOL gives no strings, as the encoder gives none."""
+    layer = extract_hcb(h4_tensors)[0]
+    h = layer.one_body.copy()
+    h[0, 1] = h[1, 0] = size
+    padded = IntegralTensors(layer.n_orbitals, h, layer.two_body, layer.e_nuc)
+    if not fits:
+        with pytest.raises(ValueError, match=r"entry h\[0, 1\] = 1\.000e-13 does not fit"):
+            hcb_to_groups(padded)
+        return
+    for got, want in zip(hcb_to_groups(padded), hcb_to_groups(layer)):
+        assert membership_digest([got]) == membership_digest([want])
+
+
+def _assert_groups_are_the_jw_route(layer, ordering):
+    """Masks and coefficient bits of the closed-form groups equal the JW
+    oracle's, the ZERO_TOL cut included."""
+    for got, want in zip(hcb_to_groups(layer, ordering), jw_layer_groups(layer, ordering)):
+        assert np.array_equal(got.op.x, want.x)
+        assert np.array_equal(got.op.z, want.z)
+        assert np.array_equal(got.op.coeffs, want.coeffs)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       ordering=st.sampled_from(ORDERINGS), rotate=st.booleans(),
+       e_nuc=st.sampled_from([0.0, 0.7]))
+def test_closed_form_groups_are_the_jw_route(n, seed, ordering, rotate, e_nuc):
+    """Random paired tensors, as drawn or under a random real rotation:
+    their off-diagonal strings cancel pairwise to residues that the
+    ZERO_TOL cut drops, as on the molecular lines."""
+    tensors = random_tensors(n, seed, e_nuc=e_nuc)
+    if rotate:
+        tensors = rotate_integrals(tensors, random_orthogonal_rotation(n, seed))
+    _assert_groups_are_the_jw_route(extract_hcb(tensors)[0], ordering)
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+@pytest.mark.parametrize("system", ["h4", "h6", "h8"])
+def test_protocol_groups_are_the_jw_route_on_the_lines(request, system, ordering):
+    """Every layer of a protocol run over the top pairing graphs and two
+    random rotations, the first layer carrying e_nuc."""
+    tensors = request.getfixturevalue(f"{system}_tensors")
+    n = tensors.n_orbitals
+    distances = request.getfixturevalue(f"{system}_geometry").distances()
+    rotations = [graph_rotation(g) for g in distance_ranked_matchings(distances, 2)]
+    rotations += [random_orthogonal_rotation(n, seed) for seed in (1, 2)]
+    residual = tensors
+    for rotation in rotations:
+        layer, rest = extract_hcb(rotate_integrals(residual, rotation))
+        _assert_groups_are_the_jw_route(layer, ordering)
+        residual = rotate_integrals(rest, rotation.transpose())
+
+
+def test_protocol_runs_without_the_encoder(monkeypatch, h8_tensors, h8_ground, h8_rotations):
+    """hcb_to_groups writes the groups from the tensors: with every encoder
+    entry point raising, the H8 protocol still completes."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the protocol called the Jordan-Wigner encoder")
+
+    for name in ("jw_encode", "_encode_batches", "build_qubit_hamiltonian"):
+        monkeypatch.setattr(encoding, name, refuse)
+    exact, state = h8_ground
+    records = run_protocol(h8_tensors, [*h8_rotations, random_orthogonal_rotation(8, 3)], state)
+    assert [len(r.groups) for r in records] == [3, 3, 3]
+    assert abs(records[-1].cumulative + records[-1].residual_expectation - exact) < 1e-9
 
 
 # sha256 of the three groups' labels, kinds and members (masks, coefficient
@@ -445,6 +518,19 @@ def test_spin_rdms_match_the_full_space_builder_on_ground_states(request, system
             assert got.dtype == complex
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+def test_spin_rdms_match_the_full_space_builder_on_an_odd_electron_ground_state(ordering):
+    """The H5 line's ground state sits in the (3, 2) block, where the
+    alpha and beta string tables differ in size."""
+    tensors = minimal_basis_integrals(build_geometry(5, 1.5, "line"))
+    _, state = ground_state(build_qubit_hamiltonian(tensors, ordering), 5, ordering)
+    assert spin_blocks(state, ordering) == [(3, 2)]
+    for got, want in zip(spin_rdms(state, ordering), full_space_spin_rdms(state, ordering)):
+        assert got.dtype == complex
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_rdm_checks_reject_corrupted_pairs(h4_ground):
